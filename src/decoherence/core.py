@@ -152,6 +152,8 @@ class DensityMatrix:
         m = np.array(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("density matrix has non-finite entries")
         herm = float(np.max(np.abs(m - m.conj().T)))
         if herm > tol:
             raise ValueError(f"density matrix not Hermitian: max |rho - rho^dag| = {herm}")
@@ -159,16 +161,16 @@ class DensityMatrix:
         if abs(tr - 1.0) > max(tol, 1e-12):
             raise ValueError(f"density matrix trace {tr} deviates from 1")
         m = 0.5 * (m + m.conj().T)
-        w = np.linalg.eigvalsh(m)
+        # one eigendecomposition serves both the positivity test and the clamp
+        w, v = np.linalg.eigh(m)
         wmin = float(w[0])
         if wmin < -clamp:
             raise ValueError(f"density matrix has negative eigenvalue {wmin}")
         if wmin < 0.0:
             # clamp round-off negatives and renormalize
-            w_full, v = np.linalg.eigh(m)
-            w_full = np.clip(w_full, 0.0, None)
-            w_full = w_full / np.sum(w_full)
-            m = (v * w_full) @ v.conj().T
+            w = np.clip(w, 0.0, None)
+            w = w / np.sum(w)
+            m = (v * w) @ v.conj().T
         self.matrix = _freeze(m)
         self.dim = m.shape[0]
 

@@ -15,7 +15,8 @@ A non-Hermitian H is propagated as H rho - rho H^dag, which the sandwich
 terms of the weak-coupling two-level equation rely on to conserve trace.
 
 Integration is classical fixed-step 4th-order (reproducible time series);
-`convergence_check` estimates the step error by halving dt.
+`convergence_check` estimates the step error by halving dt.  Every stepping
+evolver of the package runs the loop `_march` on the schedule `record_steps`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Literal, Sequence
+from typing import Callable, Iterator, Literal, Sequence
 
 import numpy as np
 import scipy.integrate
@@ -79,8 +80,7 @@ class LindbladGenerator:
 
     def __init__(self, hamiltonian: Operator | None,
                  lindblad_ops: Sequence[tuple[float, Operator]] = (),
-                 extra_terms: Sequence[ExtraTerm] = (),
-                 form_tag: str = "diagonal"):
+                 extra_terms: Sequence[ExtraTerm] = ()):
         dims = set()
         if hamiltonian is not None:
             dims.add(hamiltonian.dim)
@@ -99,7 +99,6 @@ class LindbladGenerator:
         self.hamiltonian = hamiltonian
         self.lindblad_ops = tuple((float(r), op) for r, op in lindblad_ops)
         self.extra_terms = tuple(extra_terms)
-        self.form_tag = form_tag
         # precompute L^dag L and diagonal fast paths (position-basis models
         # have diagonal L, which turns the dissipator into O(dim^2) work)
         self._ldl = [op.matrix.conj().T @ op.matrix for _, op in self.lindblad_ops]
@@ -134,10 +133,14 @@ class LindbladGenerator:
                 continue
             l = sum(v[alpha, mu] * basis[alpha].matrix for alpha in range(n))
             ops.append((rate, Operator(l)))
-        return cls(hamiltonian, ops, form_tag="first_standard")
+        return cls(hamiltonian, ops)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Right-hand side of the master equation for a raw state matrix."""
+        """Right-hand side of the master equation for raw state matrices.
+
+        rho may be one (dim, dim) matrix or a stack (..., dim, dim); every
+        term, the diagonal fast path included, acts on the last two axes.
+        """
         out = np.zeros_like(rho, dtype=complex)
         if self.hamiltonian is not None:
             h = self.hamiltonian.matrix
@@ -182,12 +185,31 @@ def apply_generator(gen: LindbladGenerator, rho: DensityMatrix) -> np.ndarray:
 # Fixed-step integration
 # ---------------------------------------------------------------------------
 
+def record_steps(n_steps: int, record_stride: int) -> list[int]:
+    """The record schedule: step 0, every record_stride-th step, the last step."""
+    return [k for k in range(n_steps + 1) if k % record_stride == 0 or k == n_steps]
+
+
+def _march(state: np.ndarray, step: Callable[[int, np.ndarray], np.ndarray],
+           n_steps: int, record_stride: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The stepping loop: yield (k, state) at every recorded step k.
+
+    step(k, state) advances the state from step k to step k + 1; it must
+    return a new object, since recorded states are kept as yielded.
+    """
+    k = 0
+    for target in record_steps(n_steps, record_stride):
+        while k < target:
+            state = step(k, state)
+            k += 1
+        yield k, state
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     dt: float
     t_final: float
     record_stride: int = 1
-    method_tag: str = "rk4"
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -196,6 +218,14 @@ class IntegratorConfig:
             raise ValueError("t_final must be at least one step")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
+
+    @property
+    def n_steps(self) -> int:
+        return int(round(self.t_final / self.dt))
+
+    def record_times(self) -> np.ndarray:
+        return np.array(record_steps(self.n_steps, self.record_stride),
+                        dtype=float) * self.dt
 
 
 @dataclass
@@ -219,65 +249,40 @@ def _rk4_step(gen: LindbladGenerator, rho: np.ndarray, dt: float) -> np.ndarray:
     return rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def evolve(gen: LindbladGenerator, rho0: DensityMatrix, cfg: IntegratorConfig,
-           check_positivity: bool = True) -> EvolutionResult:
+def _validated(rho: np.ndarray, t: float) -> DensityMatrix:
+    tr_err = abs(np.trace(rho) - 1.0)
+    if not np.isfinite(tr_err) or tr_err > TRACE_DRIFT_TOL:
+        raise PositivityLossError(f"trace drifted by {tr_err:.3e} at t={t:.6g}")
+    try:
+        return DensityMatrix(rho, tol=1e-6, clamp=POSITIVITY_DRIFT_TOL)
+    except ValueError as exc:
+        raise PositivityLossError(
+            f"{exc} at t={t:.6g}; reduce dt or check the generator") from exc
+
+
+def evolve(gen: LindbladGenerator, rho0: DensityMatrix,
+           cfg: IntegratorConfig) -> EvolutionResult:
     """Integrate the master equation, recording every record_stride-th step.
 
-    Recorded states are validated (Hermitian, unit trace, positive within
-    drift tolerance); violations raise PositivityLossError.
+    Each recorded state is validated once: its trace, then one
+    eigendecomposition for positivity and the clamp of round-off negatives.
+    Violations raise PositivityLossError.
     """
-    n_steps = int(round(cfg.t_final / cfg.dt))
-    rho = np.array(rho0.matrix)
-    times = [0.0]
-    states = [rho0]
-    for step in range(1, n_steps + 1):
-        rho = _rk4_step(gen, rho, cfg.dt)
-        if step % cfg.record_stride == 0 or step == n_steps:
-            tr_err = abs(np.trace(rho) - 1.0)
-            if not np.isfinite(tr_err) or tr_err > TRACE_DRIFT_TOL:
-                raise PositivityLossError(
-                    f"trace drifted by {tr_err:.3e} at t={step * cfg.dt:.6g}")
-            if check_positivity:
-                if not np.all(np.isfinite(rho)):
-                    raise PositivityLossError(
-                        f"state overflowed at t={step * cfg.dt:.6g}; reduce dt")
-                wmin = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
-                if wmin < -POSITIVITY_DRIFT_TOL:
-                    raise PositivityLossError(
-                        f"min eigenvalue {wmin:.3e} at t={step * cfg.dt:.6g}; "
-                        "reduce dt or check the generator")
-            times.append(step * cfg.dt)
-            states.append(DensityMatrix(rho, tol=1e-6, clamp=POSITIVITY_DRIFT_TOL))
-    return EvolutionResult(np.array(times), states)
-
-
-def evolve_observables(gen: LindbladGenerator, rho0: DensityMatrix,
-                       cfg: IntegratorConfig,
-                       observables: dict[str, Callable[[np.ndarray], float]],
-                       ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Streaming variant of evolve: record scalar functionals, not states."""
-    n_steps = int(round(cfg.t_final / cfg.dt))
-    rho = np.array(rho0.matrix)
-    times = [0.0]
-    records = {name: [f(rho)] for name, f in observables.items()}
-    for step in range(1, n_steps + 1):
-        rho = _rk4_step(gen, rho, cfg.dt)
-        if step % cfg.record_stride == 0 or step == n_steps:
-            if abs(np.trace(rho) - 1.0) > TRACE_DRIFT_TOL:
-                raise PositivityLossError(f"trace drift at step {step}")
-            times.append(step * cfg.dt)
-            for name, f in observables.items():
-                records[name].append(f(rho))
-    return np.array(times), {k: np.array(v) for k, v in records.items()}
+    states = []
+    for k, rho in _march(np.array(rho0.matrix),
+                         lambda _, r: _rk4_step(gen, r, cfg.dt),
+                         cfg.n_steps, cfg.record_stride):
+        states.append(rho0 if k == 0 else _validated(rho, k * cfg.dt))
+    return EvolutionResult(cfg.record_times(), states)
 
 
 def convergence_check(gen: LindbladGenerator, rho0: DensityMatrix,
                       cfg: IntegratorConfig) -> float:
     """Max-entry change of the final state when dt is halved."""
-    coarse = evolve(gen, rho0, cfg, check_positivity=False).final()
+    coarse = evolve(gen, rho0, cfg).final()
     fine_cfg = IntegratorConfig(cfg.dt / 2.0, cfg.t_final,
                                 record_stride=2 * cfg.record_stride)
-    fine = evolve(gen, rho0, fine_cfg, check_positivity=False).final()
+    fine = evolve(gen, rho0, fine_cfg).final()
     return float(np.max(np.abs(coarse.matrix - fine.matrix)))
 
 
@@ -392,9 +397,12 @@ def born_markov_coefficients(kernels: CorrelationKernelSpec, omega: float,
     """Integrate the kernels against the system frequency.
 
     omega_shift_sq = -(2/M)   int_0^tc eta(tau) cos(omega tau) dtau
-    gamma          = (2/M w)  int_0^tc eta(tau) sin(omega tau) dtau
+    gamma          = (1/M w)  int_0^tc eta(tau) sin(omega tau) dtau
     D              =          int_0^tc nu(tau)  cos(omega tau) dtau
     f              = -(1/M w) int_0^tc nu(tau)  sin(omega tau) dtau
+
+    gamma is the rate in the damping term -i gamma [x, {p, rho}]; for the
+    ohmic Lorentz-Drude density it is gamma0 Lambda^2 / (Lambda^2 + w^2).
     """
     tc = kernels.cutoff_time
     total_err = 0.0
@@ -417,7 +425,7 @@ def born_markov_coefficients(kernels: CorrelationKernelSpec, omega: float,
     nu_sin = integrate(lambda t: kernels.nu(t) * math.sin(omega * t))
     return BornMarkovCoefficients(
         omega_shift_sq=-2.0 / mass * eta_cos,
-        gamma=2.0 / (mass * omega) * eta_sin,
+        gamma=eta_sin / (mass * omega),
         D=nu_cos,
         f=-nu_sin / (mass * omega),
         quadrature_error=total_err,
@@ -491,8 +499,7 @@ def born_markov_generator(hamiltonian: Operator | None,
                                label=f"bm_right_{alpha}"))
         extra.append(ExtraTerm("sandwich", s_op, Operator(c_mat), +1.0,
                                label=f"bm_right_{alpha}*"))
-    return LindbladGenerator(hamiltonian, [], extra_terms=extra,
-                             form_tag="born_markov")
+    return LindbladGenerator(hamiltonian, [], extra_terms=extra)
 
 
 def caldeira_leggett_lindblad_operator(mass: float, T: float,
@@ -523,7 +530,7 @@ def lindblad_repair_caldeira_leggett(mass: float, gamma0: float, T: float,
     L = caldeira_leggett_lindblad_operator(mass, T, x, p)
     h_shift = 0.5 * gamma0 * (x.matrix @ p.matrix + p.matrix @ x.matrix)
     h = h_shift if hamiltonian is None else hamiltonian.matrix + h_shift
-    return LindbladGenerator(Operator(h), [(gamma0, L)], form_tag="diagonal")
+    return LindbladGenerator(Operator(h), [(gamma0, L)])
 
 
 def pure_dephasing_qubit(D: float, hamiltonian: Operator | None = None,

@@ -29,7 +29,7 @@ import scipy.integrate
 
 from ..constants import thermal_de_broglie_wavelength
 from ..core import Grid1D, Operator, StateVector
-from ..lindblad import LindbladGenerator
+from ..lindblad import LindbladGenerator, _march
 
 
 @dataclass(frozen=True)
@@ -110,18 +110,16 @@ def collisional_evolve_split_step(params: CollisionalParams, grid: Grid1D,
         # must stay clear of the grid edges
         return apply_u(apply_u(r).conj().T).conj().T
 
-    times = [0.0]
-    records = [rho.copy()]
-    for step in range(1, n_steps + 1):
+    def strang_step(_, r: np.ndarray) -> np.ndarray:
         if include_free_dynamics:
-            rho = kinetic_half(rho)
-        rho = rho * decay
+            r = kinetic_half(r)
+        r = r * decay
         if include_free_dynamics:
-            rho = kinetic_half(rho)
-        if step % record_stride == 0 or step == n_steps:
-            times.append(step * dt)
-            records.append(rho.copy())
-    return np.array(times), records
+            r = kinetic_half(r)
+        return r
+
+    steps, records = zip(*_march(rho, strang_step, n_steps, record_stride))
+    return np.array(steps, dtype=float) * dt, list(records)
 
 
 def decoherence_dissipation_ratio(mass_kg: float, temperature_K: float,

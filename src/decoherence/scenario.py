@@ -43,7 +43,7 @@ from .models import (
     spin_spin_coherence_factor,
 )
 from .models.spin_boson import SpinBosonParams, ohmic_coupling, spin_boson_born_markov
-from .trajectories import TrajectoryConfig, ensemble_statistics, unravel
+from .trajectories import HERMITIAN_TOL, TrajectoryConfig, ensemble_statistics, unravel
 
 SCHEMA_VERSION = 1
 
@@ -345,6 +345,8 @@ def parse_config(text: str) -> ScenarioConfig:
              **_validate_section("initial_state", state_raw, STATE_SCHEMAS[kind])}
 
     integ = _validate_section("integrator", dict(cp["integrator"]), INTEGRATOR_SCHEMA)
+    if integ["t_final"] < integ["dt"]:
+        raise ConfigError("t_final must be at least one step dt")
     outputs = _validate_section("outputs", dict(cp["outputs"]), OUTPUTS_SCHEMA)
     for q in outputs["quantities"]:
         if q not in OUTPUT_QUANTITIES:
@@ -368,9 +370,11 @@ def parse_config(text: str) -> ScenarioConfig:
 
     traj = None
     if "trajectories" in cp:
-        if model not in ("spin_boson", "custom_lindblad"):
-            raise ConfigError("trajectory unraveling supports the qubit "
-                              "Lindblad models (spin_boson, custom_lindblad)")
+        # spin_boson's weak-coupling generator always carries non-Lindblad
+        # terms, which have no diffusive unraveling
+        if model != "custom_lindblad":
+            raise ConfigError("trajectory unraveling supports the "
+                              "custom_lindblad model only")
         traj = _validate_section("trajectories", dict(cp["trajectories"]),
                                  TRAJECTORIES_SCHEMA)
 
@@ -387,12 +391,29 @@ def parse_config(text: str) -> ScenarioConfig:
                 raise ConfigError(f"lindblad_{i} needs dim*dim entries")
         if state["kind"] == "qubit_bloch" and dim != 2:
             raise ConfigError("qubit_bloch initial state needs dim = 2")
+        h, ops = _custom_operators(params)
+        if not h.is_hermitian(HERMITIAN_TOL):
+            raise ConfigError("hamiltonian must be Hermitian")
+        if traj is not None and not all(l.is_hermitian(HERMITIAN_TOL) for _, l in ops):
+            raise ConfigError("trajectory unraveling needs Hermitian lindblad_i operators")
 
     return ScenarioConfig(
         name=scen["name"], model=model, seed=scen["seed"], params=params,
         initial_state=state, integrator=integ, outputs=outputs,
         grid=grid, trajectories=traj,
     )
+
+
+def _custom_operators(params: dict) -> tuple[Operator, list[tuple[float, Operator]]]:
+    """Hamiltonian and (rate, Lindblad operator) pairs of a custom_lindblad model."""
+    dim = params["dim"]
+
+    def operator(key: str) -> Operator:
+        return Operator(np.array(params[key], dtype=complex).reshape(dim, dim))
+
+    ops = [(params[f"rate_{i}"], operator(f"lindblad_{i}")) for i in (1, 2, 3)
+           if params.get(f"lindblad_{i}") is not None]
+    return operator("hamiltonian"), ops
 
 
 def _format_value(v) -> str:
@@ -511,7 +532,6 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path = ".") -> dict:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     name = cfg.name
-    integ = cfg.integrator
     quantities = cfg.outputs["quantities"]
     summary: dict = {
         "schema_version": SCHEMA_VERSION,
@@ -562,41 +582,21 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path = ".") -> dict:
     return summary
 
 
-def _recorded_times(integ: dict) -> np.ndarray:
-    n_steps = int(round(integ["t_final"] / integ["dt"]))
-    stride = integ["record_stride"]
-    steps = [0] + [s for s in range(1, n_steps + 1)
-                   if s % stride == 0 or s == n_steps]
-    return np.array(steps, dtype=float) * integ["dt"]
-
-
 def _run_grid_model(cfg: ScenarioConfig, summary: dict, out_dir: Path) -> dict:
     grid = Grid1D(cfg.grid["n_points"], cfg.grid["x_min"], cfg.grid["x_max"])
     psi0 = _initial_grid_state(cfg, grid)
-    integ = cfg.integrator
+    integ = IntegratorConfig(**cfg.integrator)
     p = cfg.params
     quantities = cfg.outputs["quantities"]
     threshold = _coherence_threshold(cfg)
 
+    gen = None  # the long-wavelength scattering model runs the exact split step
     if cfg.model == "collisional":
         params = CollisionalParams(Lambda=p["lambda"], Gamma_tot=p["gamma_tot"],
                                    regime=p["regime"], mass=p["mass"])
-        if params.regime == "long_wavelength":
-            n_steps = int(round(integ["t_final"] / integ["dt"]))
-            times, mats = collisional_evolve_split_step(
-                params, grid, psi0, integ["dt"], n_steps,
-                record_stride=integ["record_stride"],
-                include_free_dynamics=p["free_dynamics"])
-            summary["model_info"]["evolver"] = "split_step"
-        else:
+        if params.regime == "short_wavelength":
             gen = collisional_generator(params, grid,
                                         include_free_dynamics=p["free_dynamics"])
-            res = evolve(gen, psi0.density(),
-                         IntegratorConfig(integ["dt"], integ["t_final"],
-                                          integ["record_stride"]))
-            times = res.times
-            mats = [s.matrix for s in res.states]
-            summary["model_info"]["evolver"] = "rk4"
     else:
         qp = QBMParams(mass=p["mass"], Omega=p["omega"], gamma0=p["gamma0"],
                        T=p["temperature"], cutoff=p["cutoff"])
@@ -605,9 +605,15 @@ def _run_grid_model(cfg: ScenarioConfig, summary: dict, out_dir: Path) -> dict:
         else:
             gen = caldeira_leggett_generator(qp, grid,
                                              include_dissipation=p["dissipation"])
-        res = evolve(gen, psi0.density(),
-                     IntegratorConfig(integ["dt"], integ["t_final"],
-                                      integ["record_stride"]))
+
+    if gen is None:
+        times, mats = collisional_evolve_split_step(
+            params, grid, psi0, integ.dt, integ.n_steps,
+            record_stride=integ.record_stride,
+            include_free_dynamics=p["free_dynamics"])
+        summary["model_info"]["evolver"] = "split_step"
+    else:
+        res = evolve(gen, psi0.density(), integ)
         times = res.times
         mats = [s.matrix for s in res.states]
         summary["model_info"]["evolver"] = "rk4"
@@ -654,19 +660,11 @@ def _run_qubit_lindblad(cfg: ScenarioConfig, summary: dict, out_dir: Path) -> di
         gen = spin_boson_born_markov(sbp)
         summary["model_info"]["dephasing_strength"] = _dephasing_strength_of(gen)
     else:
-        dim = p["dim"]
-        h = Operator(np.array(p["hamiltonian"], dtype=complex).reshape(dim, dim))
-        ops = []
-        for i in (1, 2, 3):
-            if p.get(f"lindblad_{i}") is not None:
-                l = Operator(np.array(p[f"lindblad_{i}"], dtype=complex).reshape(dim, dim))
-                ops.append((p[f"rate_{i}"], l))
-        gen = LindbladGenerator(h, ops)
+        gen = LindbladGenerator(*_custom_operators(p))
 
     psi0 = bloch_state(st["theta"], st["phi"])
     rho0 = psi0.density()
-    res = evolve(gen, rho0, IntegratorConfig(integ["dt"], integ["t_final"],
-                                             integ["record_stride"]))
+    res = evolve(gen, rho0, IntegratorConfig(**integ))
     series: dict = {"t": list(res.times)}
     quantities = cfg.outputs["quantities"]
     mats = [s.matrix for s in res.states]
@@ -712,7 +710,7 @@ def _run_spin_spin(cfg: ScenarioConfig, summary: dict) -> dict:
     rng = np.random.default_rng(cfg.seed)
     couplings = rng.uniform(0.0, p["coupling_scale"], size=p["n_spins"])
     params = SpinSpinParams.plus_states(couplings)
-    times = _recorded_times(cfg.integrator)
+    times = IntegratorConfig(**cfg.integrator).record_times()
     z = spin_spin_coherence_factor(params, times)
 
     psi0 = bloch_state(st["theta"], st["phi"])
@@ -777,7 +775,7 @@ def _run_cavity(cfg: ScenarioConfig, summary: dict) -> dict:
     params = CavityCatParams(nbar=nbar, chi=chi, Tr=p["damping_time"])
     ov = cat_overlap(params)
     t_d = cat_decoherence_time(params)  # raises for chi = 0 (no cat)
-    times = _recorded_times(cfg.integrator)
+    times = IntegratorConfig(**cfg.integrator).record_times()
     coh = np.exp(-times / t_d)
     summary["model_info"].update({
         "catness": ov["catness"],

@@ -32,9 +32,11 @@ import numpy as np
 from scipy.special import ndtri
 
 from .core import DensityMatrix, Operator
-from .lindblad import LindbladGenerator
+from .lindblad import LindbladGenerator, _march, record_steps
 
 TRACE_DRIFT_LIMIT = 1e-4
+#: Hermiticity tolerance for the Hamiltonian and the Lindblad operators.
+HERMITIAN_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -87,67 +89,52 @@ def unravel(gen: LindbladGenerator, rho0: DensityMatrix,
             cfg: TrajectoryConfig) -> TrajectoryEnsemble:
     """Integrate an ensemble of diffusive trajectories.
 
-    Requires Hermitian Lindblad operators (the measurement-unraveling
-    setting); generators with extra non-Lindblad terms are rejected.
+    Requires a Hermitian Hamiltonian and Hermitian Lindblad operators (the
+    measurement-unraveling setting); generators with extra non-Lindblad
+    terms are rejected.  The drift is the generator's own right-hand side,
+    applied to the whole (n, dim, dim) batch of conditioned states.
     """
     if gen.extra_terms:
         raise ValueError("unraveling covers pure Lindblad generators only")
+    if gen.hamiltonian is not None and not gen.hamiltonian.is_hermitian(HERMITIAN_TOL):
+        raise ValueError("unraveling requires a Hermitian Hamiltonian")
     for rate, op in gen.lindblad_ops:
-        if not op.is_hermitian(1e-10):
+        if not op.is_hermitian(HERMITIAN_TOL):
             raise ValueError("unraveling requires Hermitian Lindblad operators")
     if rho0.dim != gen.dim:
         raise ValueError("state dimension does not match the generator")
 
     n_steps = cfg.n_steps
-    recorded = [s for s in range(0, n_steps + 1)
-                if s % cfg.record_stride == 0 or s == n_steps]
-    times = np.array([s * cfg.dt for s in recorded])
-    rates_ops = [(rate, op.matrix, op.matrix.conj().T @ op.matrix)
-                 for rate, op in gen.lindblad_ops]
-    sqrt_rates = [math.sqrt(rate) for rate, _, _ in rates_ops]
-    n_ops = len(rates_ops)
+    steps = record_steps(n_steps, cfg.record_stride)
+    noise_ops = [(math.sqrt(rate), op.matrix) for rate, op in gen.lindblad_ops]
     dim = gen.dim
-    h = gen.hamiltonian.matrix if gen.hamiltonian is not None else None
-
-    def batched_drift(rho: np.ndarray) -> np.ndarray:
-        # deterministic Lindblad right-hand side on a (n, dim, dim) batch
-        out = np.zeros_like(rho)
-        if h is not None:
-            out += -1j * (h @ rho - rho @ h)
-        for rate, l, ldl in rates_ops:
-            out += rate * (l @ rho @ l.conj().T - 0.5 * (ldl @ rho + rho @ ldl))
-        return out
 
     def run_chunk(idx_lo: int, idx_hi: int) -> np.ndarray:
         n_traj = idx_hi - idx_lo
-        rho = np.broadcast_to(rho0.matrix, (n_traj, dim, dim)).copy()
-        out = np.empty((n_traj, len(recorded), dim, dim), dtype=complex)
-        dw = np.stack([_gaussian_increments(cfg.seed, j, n_steps, n_ops, cfg.dt)
+        batch0 = np.broadcast_to(rho0.matrix, (n_traj, dim, dim)).copy()
+        out = np.empty((n_traj, len(steps), dim, dim), dtype=complex)
+        dw = np.stack([_gaussian_increments(cfg.seed, j, n_steps, len(noise_ops), cfg.dt)
                        for j in range(idx_lo, idx_hi)])  # (n_traj, n_steps, n_ops)
-        rec_pos = 0
-        if recorded[0] == 0:
-            out[:, 0] = rho
-            rec_pos = 1
-        for step in range(n_steps):
-            new = rho + cfg.dt * batched_drift(rho)
-            for mu, (rate_l_ldl, sr) in enumerate(zip(rates_ops, sqrt_rates)):
-                l = rate_l_ldl[1]
+
+        def euler_maruyama(k: int, rho: np.ndarray) -> np.ndarray:
+            new = rho + cfg.dt * gen.apply(rho)
+            for mu, (sr, l) in enumerate(noise_ops):
                 w = l @ rho + rho @ l.conj().T
                 tr = np.trace(w, axis1=1, axis2=2)
                 w = w - tr[:, None, None] * rho
-                new = new + sr * dw[:, step, mu][:, None, None] * w
-            rho = new
-            if rec_pos < len(recorded) and recorded[rec_pos] == step + 1:
-                tr_err = np.max(np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0))
-                # the update is traceless by construction, so a drifting or
-                # non-finite trace means the state itself blew up
-                if not np.isfinite(tr_err) or tr_err > TRACE_DRIFT_LIMIT \
-                        or not np.all(np.isfinite(rho)):
-                    raise StepInstabilityError(
-                        f"trace drifted by {tr_err:.2e} at step {step + 1}; "
-                        "reduce dt")
-                out[:, rec_pos] = rho
-                rec_pos += 1
+                new = new + sr * dw[:, k, mu][:, None, None] * w
+            return new
+
+        for pos, (k, rho) in enumerate(_march(batch0, euler_maruyama, n_steps,
+                                              cfg.record_stride)):
+            tr_err = np.max(np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0))
+            # the update is traceless by construction, so a drifting or
+            # non-finite trace means the state itself blew up
+            if not np.isfinite(tr_err) or tr_err > TRACE_DRIFT_LIMIT \
+                    or not np.all(np.isfinite(rho)):
+                raise StepInstabilityError(
+                    f"trace drifted by {tr_err:.2e} at step {k}; reduce dt")
+            out[:, pos] = rho
         return out
 
     n_threads = max(1, int(os.environ.get("DECOHERENCE_NUM_THREADS", "1")))
@@ -166,6 +153,7 @@ def unravel(gen: LindbladGenerator, rho0: DensityMatrix,
     mean_raw = np.mean(states, axis=0)
     ensemble_mean = [DensityMatrix(0.5 * (m + m.conj().T), tol=1e-2, clamp=1e-2)
                      for m in mean_raw]
+    times = np.array(steps, dtype=float) * cfg.dt
     return TrajectoryEnsemble(times, states, ensemble_mean)
 
 

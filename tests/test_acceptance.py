@@ -107,8 +107,7 @@ def test_criterion_4_collisional_long_wavelength():
         gen = collisional_generator(CollisionalParams(Lambda=lam), grid,
                                     include_free_dynamics=False)
         res = evolve(gen, psi0.density(),
-                     IntegratorConfig(dt=1e-3, t_final=t, record_stride=250),
-                     check_positivity=False)
+                     IntegratorConfig(dt=1e-3, t_final=t, record_stride=250))
         ratio = res.final().matrix / psi0.density().matrix
         law = np.exp(-lam * np.subtract.outer(grid.x, grid.x) ** 2 * t)
         assert np.max(np.abs(ratio - law)) < 1e-6

@@ -303,6 +303,10 @@ class TestBornMarkovCoefficients:
                                              cutoff_time=50.0 / lam)
             gammas.append(born_markov_coefficients(spec, omega=omega, mass=m).gamma)
         assert gammas[0] == pytest.approx(gammas[1], rel=1e-9)
+        # eta = M gamma0 Lambda^2 e^(-Lambda tau) integrates in closed form to
+        # the weak-coupling damping rate gamma0 Lambda^2 / (Lambda^2 + Omega^2)
+        want = g0 * lam ** 2 / (lam ** 2 + omega ** 2)
+        assert gammas[0] == pytest.approx(want, rel=1e-6)
 
 
 class TestGenericBornMarkovBuilder:

@@ -26,8 +26,7 @@ class TestLongWavelength:
         gen = collisional_generator(params, grid, include_free_dynamics=False)
         t = 0.25
         res = evolve(gen, psi0.density(),
-                     IntegratorConfig(dt=1e-3, t_final=t, record_stride=250),
-                     check_positivity=False)
+                     IntegratorConfig(dt=1e-3, t_final=t, record_stride=250))
         ratio = res.final().matrix / psi0.density().matrix
         expected = np.exp(-params.Lambda * np.subtract.outer(grid.x, grid.x) ** 2 * t)
         assert np.max(np.abs(ratio - expected)) < 1e-6
@@ -40,8 +39,7 @@ class TestLongWavelength:
                                     include_free_dynamics=False)
         psi0 = grid.gaussian_packet(0.0, 1.2)
         res = evolve(gen, psi0.density(),
-                     IntegratorConfig(dt=1e-3, t_final=0.25, record_stride=250),
-                     check_positivity=False)
+                     IntegratorConfig(dt=1e-3, t_final=0.25, record_stride=250))
         i = int(np.argmin(np.abs(grid.x - 1.0)))
         j = int(np.argmin(np.abs(grid.x + 1.0)))
         assert grid.x[i] == pytest.approx(1.0) and grid.x[j] == pytest.approx(-1.0)
@@ -54,8 +52,7 @@ class TestLongWavelength:
                                     include_free_dynamics=False)
         psi0 = grid.two_packet_cat(1.0, 0.4)
         res = evolve(gen, psi0.density(),
-                     IntegratorConfig(dt=1e-3, t_final=0.5, record_stride=500),
-                     check_positivity=False)
+                     IntegratorConfig(dt=1e-3, t_final=0.5, record_stride=500))
         assert_allclose(np.diag(res.final().matrix), np.diag(psi0.density().matrix),
                         atol=1e-10)
 
@@ -83,8 +80,7 @@ class TestShortWavelength:
         psi0 = grid.gaussian_packet(0.0, 0.8)
         t = 0.4
         res = evolve(gen, psi0.density(),
-                     IntegratorConfig(dt=2e-3, t_final=t, record_stride=200),
-                     check_positivity=False)
+                     IntegratorConfig(dt=2e-3, t_final=t, record_stride=200))
         rho0 = psi0.density().matrix
         rho_t = res.final().matrix
         off = ~np.eye(grid.n_points, dtype=bool)
@@ -103,8 +99,7 @@ class TestSplitStep:
         times, mats = collisional_evolve_split_step(params, grid, psi0, dt, n_steps)
         gen = collisional_generator(params, grid, include_free_dynamics=True)
         res = evolve(gen, psi0.density(),
-                     IntegratorConfig(dt=dt, t_final=t, record_stride=n_steps),
-                     check_positivity=False)
+                     IntegratorConfig(dt=dt, t_final=t, record_stride=n_steps))
         assert np.max(np.abs(mats[-1] - res.final().matrix)) < 5e-6
 
     def test_decay_only_mode_is_exact(self):

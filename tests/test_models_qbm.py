@@ -52,6 +52,12 @@ class TestCoefficients:
         want = -2.0 * HIGH_T.gamma0 * HIGH_T.cutoff
         assert high_t_coefficients.omega_shift_sq == pytest.approx(want, rel=0.01)
 
+    def test_damping_is_the_lorentz_drude_closed_form(self, high_t_coefficients):
+        # (1/M Omega) int eta sin(Omega t) with eta = M gamma0 Lambda^2 e^(-Lambda t)
+        lam, omega = HIGH_T.cutoff, HIGH_T.Omega
+        want = HIGH_T.gamma0 * lam ** 2 / (lam ** 2 + omega ** 2)
+        assert high_t_coefficients.gamma == pytest.approx(want, rel=1e-6)
+
     def test_high_temperature_flag(self):
         assert HIGH_T.is_high_temperature()
         assert not QBMParams(1.0, 1.0, 0.1, 5.0, 1e3).is_high_temperature()
@@ -164,8 +170,7 @@ class TestGridEvolution:
         d = 2.0 * params.mass * params.gamma0 * params.T  # decoherence strength
         t_final = 4.0 / (d * (2 * 1.2) ** 2)  # four units of the cat's decay
         res = evolve(gen, rho0, IntegratorConfig(dt=t_final / 400, t_final=t_final,
-                                                 record_stride=400),
-                     check_positivity=False)
+                                                 record_stride=400))
         # look at the cat's off-diagonal peak near (x, x') = (x0, -x0)
         sep = np.abs(np.subtract.outer(grid.x, grid.x))
         off = sep > 2.0

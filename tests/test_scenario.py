@@ -253,6 +253,51 @@ fit = exponential
             assert f1.read_bytes() == f2.read_bytes()
 
 
+CUSTOM_TRAJECTORIES = """
+[scenario]
+name = traj
+model = custom_lindblad
+seed = 3
+
+[params]
+dim = 2
+hamiltonian = 0, 0, 0, 0
+lindblad_1 = 1, 0, 0, -1
+rate_1 = 0.5
+
+[initial_state]
+kind = qubit_bloch
+theta = 1.5707963267948966
+
+[integrator]
+dt = 0.01
+t_final = 0.5
+record_stride = 10
+
+[outputs]
+quantities = coherence_magnitude
+
+[trajectories]
+n_trajectories = 16
+"""
+
+
+class TestTrajectoriesScenario:
+    def test_writes_trajectories_and_reruns_byte_identical(self, tmp_path):
+        path = tmp_path / "traj.cfg"
+        path.write_text(CUSTOM_TRAJECTORIES)
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert cli_main(["run", str(path), "--out", str(out1)]) == 0
+        assert cli_main(["run", str(path), "--out", str(out2)]) == 0
+        rows = (out1 / "traj_trajectories.csv").read_text().splitlines()
+        assert rows[0] == "t,mean_sx,stderr_sx"
+        assert len(rows) == 1 + 6  # t = 0, 0.1, ..., 0.5
+        names = sorted(f.name for f in out1.iterdir())
+        assert names == sorted(f.name for f in out2.iterdir())
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
 def _wigner_mid_amplitude(path: Path) -> float:
     rows = np.genfromtxt(path, delimiter=",", names=True)
     x = rows["x"]
@@ -377,6 +422,34 @@ quantities = coherence_magnitude
         path = tmp_path / "nocat.cfg"
         path.write_text(text)
         assert cli_main(["run", str(path), "--out", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("text", [
+        # a non-Hermitian Hamiltonian
+        CUSTOM_TRAJECTORIES.replace("hamiltonian = 0, 0, 0, 0",
+                                    "hamiltonian = 0, 0.05, 0, 0")
+        .split("[trajectories]")[0],
+        # spin_boson's generator always carries non-Lindblad terms
+        MINIMAL_QUBIT + "\n[trajectories]\nn_trajectories = 10\n",
+        # a non-Hermitian Lindblad operator cannot be unraveled
+        CUSTOM_TRAJECTORIES.replace("lindblad_1 = 1, 0, 0, -1", "lindblad_1 = 0, 1, 0, 0"),
+        # fewer than one step
+        MINIMAL_QUBIT.replace("t_final = 2.0", "t_final = 0.001"),
+    ], ids=["non_hermitian_h", "spin_boson_trajectories",
+            "non_hermitian_l_trajectories", "t_final_below_dt"])
+    def test_input_errors_exit_2(self, tmp_path, text):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert cli_main(["run", str(path), "--out", str(tmp_path)]) == 2
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_non_hermitian_lindblad_operator_runs_without_trajectories(self, tmp_path):
+        # amplitude damping is a valid master equation; only its diffusive
+        # unraveling needs a Hermitian operator
+        path = tmp_path / "decay.cfg"
+        path.write_text(CUSTOM_TRAJECTORIES.replace("lindblad_1 = 1, 0, 0, -1",
+                                                    "lindblad_1 = 0, 1, 0, 0")
+                        .split("[trajectories]")[0])
+        assert cli_main(["run", str(path), "--out", str(tmp_path)]) == 0
 
     def test_entry_point_runs_as_subprocess(self, tmp_path):
         proc = subprocess.run(
