@@ -76,11 +76,18 @@ def _diag_or_none(m: np.ndarray) -> np.ndarray | None:
 
 
 class LindbladGenerator:
-    """Hamiltonian plus weighted Lindblad operators plus optional extra terms."""
+    """Hamiltonian plus weighted Lindblad operators plus optional extra terms.
+
+    Diagonal Lindblad operators act elementwise.  They are folded into one
+    (dim, dim) kernel K_ij = sum kappa (d_i d_j^* - (|d_i|^2 + |d_j|^2) / 2),
+    and their dissipator is K * rho.  A model whose kernel has no small
+    operator form passes it directly as `kernel`; it adds to the folded one.
+    """
 
     def __init__(self, hamiltonian: Operator | None,
                  lindblad_ops: Sequence[tuple[float, Operator]] = (),
-                 extra_terms: Sequence[ExtraTerm] = ()):
+                 extra_terms: Sequence[ExtraTerm] = (),
+                 kernel: np.ndarray | None = None):
         dims = set()
         if hamiltonian is not None:
             dims.add(hamiltonian.dim)
@@ -91,6 +98,9 @@ class LindbladGenerator:
         for t in extra_terms:
             dims.add(t.a.dim)
             dims.add(t.b.dim)
+        if kernel is not None:
+            kernel = np.array(kernel, ndmin=2)
+            dims.update(kernel.shape)  # a non-square kernel mixes dimensions
         if len(dims) > 1:
             raise ValueError(f"mixed operator dimensions {dims}")
         if not dims:
@@ -99,10 +109,18 @@ class LindbladGenerator:
         self.hamiltonian = hamiltonian
         self.lindblad_ops = tuple((float(r), op) for r, op in lindblad_ops)
         self.extra_terms = tuple(extra_terms)
-        # precompute L^dag L and diagonal fast paths (position-basis models
-        # have diagonal L, which turns the dissipator into O(dim^2) work)
-        self._ldl = [op.matrix.conj().T @ op.matrix for _, op in self.lindblad_ops]
-        self._ldiag = [_diag_or_none(op.matrix) for _, op in self.lindblad_ops]
+        #: part of the kernel was passed in, with no operators behind it
+        self.bare_kernel = kernel is not None
+        terms = [] if kernel is None else [kernel]
+        self._dense = []  # (rate, L, L^dag L) of the non-diagonal operators
+        for rate, op in self.lindblad_ops:
+            d = _diag_or_none(op.matrix)
+            if d is None:
+                self._dense.append((rate, op.matrix, op.matrix.conj().T @ op.matrix))
+            else:
+                dd = np.real(d * d.conj())
+                terms.append(rate * (np.outer(d, d.conj()) - 0.5 * np.add.outer(dd, dd)))
+        self.kernel = sum(terms[1:], terms[0]) if terms else None
         self._h_is_hermitian = hamiltonian is None or hamiltonian.is_hermitian(1e-12)
 
     @classmethod
@@ -139,7 +157,7 @@ class LindbladGenerator:
         """Right-hand side of the master equation for raw state matrices.
 
         rho may be one (dim, dim) matrix or a stack (..., dim, dim); every
-        term, the diagonal fast path included, acts on the last two axes.
+        term, the elementwise kernel included, acts on the last two axes.
         """
         out = np.zeros_like(rho, dtype=complex)
         if self.hamiltonian is not None:
@@ -148,15 +166,10 @@ class LindbladGenerator:
                 out += -1j * (h @ rho - rho @ h)
             else:
                 out += -1j * (h @ rho - rho @ h.conj().T)
-        for (rate, op), ldl, d in zip(self.lindblad_ops, self._ldl, self._ldiag):
-            if d is not None:
-                sand = (d[:, None] * rho) * d.conj()[None, :]
-                dd = np.real(d * d.conj())
-                anti = 0.5 * (dd[:, None] + dd[None, :]) * rho
-                out += rate * (sand - anti)
-            else:
-                l = op.matrix
-                out += rate * (l @ rho @ l.conj().T - 0.5 * (ldl @ rho + rho @ ldl))
+        if self.kernel is not None:
+            out += self.kernel * rho
+        for rate, l, ldl in self._dense:
+            out += rate * (l @ rho @ l.conj().T - 0.5 * (ldl @ rho + rho @ ldl))
         for term in self.extra_terms:
             out += term.apply(rho)
         return out

@@ -2,19 +2,21 @@
 
 A heavy free particle entangles with light particles that scatter off it;
 the scattered particles carry away which-path information and spatial
-coherences decay without dissipation.  Two regimes:
+coherences decay without dissipation.  The scattering term is diagonal in
+position: it multiplies each rho(x, x') by a rate, d rho/dt = K * rho, with
+the kernel K of one of two regimes:
 
 * long wavelength -- each collision resolves the separation only partially;
-  off-diagonal elements of rho(x, x') decay at rate Lambda (x - x')^2,
-  realized here as the Lindblad pair (rate 2 Lambda, L = x).
+  K = -Lambda (x - x')^2.
 * short wavelength -- a single collision resolves the separation fully and
-  the decay rate saturates at the total scattering rate Gamma_tot for every
-  x != x', realized as position projectors at rate Gamma_tot.
+  the decay rate saturates at the total scattering rate: K = -Gamma_tot for
+  every x != x' and 0 on the diagonal.
 
-The free kinetic term p^2/2M is discretized spectrally (Fourier) on the
-grid.  `collisional_evolve_split_step` exploits that both pieces are exact
-in their own representation: kinetic phases in momentum space, pointwise
-exponential decay in position space.
+`scattering_kernel` is that one kernel.  The generator carries it as its
+elementwise dissipator, and `collisional_evolve_split_step` uses it in both
+regimes: the free kinetic term p^2/2M is discretized spectrally (Fourier)
+and is exact as phases in momentum space, the scattering step is exact as
+the pointwise factor exp(K dt) in position space.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 import scipy.integrate
 
 from ..constants import thermal_de_broglie_wavelength
-from ..core import Grid1D, Operator, StateVector
+from ..core import Grid1D, StateVector
 from ..lindblad import LindbladGenerator, _march
 
 
@@ -48,31 +50,31 @@ class CollisionalParams:
             raise ValueError("mass must be positive")
 
 
+#: Fewest grid points across a packet width that collisional_generator accepts.
+MIN_POINTS_PER_WIDTH = 8
+
+
+def scattering_kernel(params: CollisionalParams, grid: Grid1D) -> np.ndarray:
+    """The elementwise scattering rates K of d rho(x, x')/dt = K * rho."""
+    if params.regime == "long_wavelength":
+        return -params.Lambda * np.subtract.outer(grid.x, grid.x) ** 2
+    return -params.Gamma_tot * (1.0 - np.eye(grid.n_points))
+
+
 def collisional_generator(params: CollisionalParams, grid: Grid1D,
                           include_free_dynamics: bool = True,
-                          min_points_per_width: int = 8,
                           packet_width: float | None = None) -> LindbladGenerator:
     """Master-equation generator on a position grid.
 
     If packet_width is given, the grid must resolve it with at least
-    min_points_per_width points.
+    MIN_POINTS_PER_WIDTH points.
     """
-    if packet_width is not None and packet_width / grid.dx < min_points_per_width:
+    if packet_width is not None and packet_width / grid.dx < MIN_POINTS_PER_WIDTH:
         raise ValueError(
             f"grid too coarse: {packet_width / grid.dx:.1f} points across the "
-            f"packet width, need >= {min_points_per_width}")
+            f"packet width, need >= {MIN_POINTS_PER_WIDTH}")
     h = grid.kinetic_hamiltonian(params.mass) if include_free_dynamics else None
-    if params.regime == "long_wavelength":
-        ops = [(2.0 * params.Lambda, grid.position_operator())]
-    else:
-        # position projectors leave diagonals fixed and damp every
-        # off-diagonal element at the flat rate Gamma_tot
-        ops = []
-        for i in range(grid.n_points):
-            proj = np.zeros((grid.n_points, grid.n_points), dtype=complex)
-            proj[i, i] = 1.0
-            ops.append((params.Gamma_tot, Operator(proj)))
-    return LindbladGenerator(h, ops)
+    return LindbladGenerator(h, kernel=scattering_kernel(params, grid))
 
 
 def collisional_decoherence_time(Lambda: float, dx: float) -> float:
@@ -87,19 +89,15 @@ def collisional_evolve_split_step(params: CollisionalParams, grid: Grid1D,
                                   record_stride: int = 1,
                                   include_free_dynamics: bool = True,
                                   ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Strang-split evolution of rho(x, x') for the long-wavelength model.
+    """Strang-split evolution of rho(x, x') for either scattering regime.
 
     Kinetic half-steps apply exact phases in the momentum representation;
-    the decoherence step multiplies by exp(-Lambda (x-x')^2 dt) exactly.
-    Returns (times, raw state matrices).
+    the scattering step multiplies by exp(K dt) exactly, with K the
+    scattering kernel.  Returns (times, raw state matrices).
     """
-    if params.regime != "long_wavelength":
-        raise ValueError("split-step evolver covers the long-wavelength model")
-    x = grid.x
-    k = grid.k
     rho = np.outer(psi0.amplitudes, psi0.amplitudes.conj())
-    decay = np.exp(-params.Lambda * np.subtract.outer(x, x) ** 2 * dt)
-    half_phase = np.exp(-1j * (k ** 2) / (2.0 * params.mass) * (dt / 2.0))
+    decay = np.exp(scattering_kernel(params, grid) * dt)
+    half_phase = np.exp(-1j * (grid.k ** 2) / (2.0 * params.mass) * (dt / 2.0))
 
     def apply_u(r: np.ndarray) -> np.ndarray:
         # U = F^-1 diag(half_phase) F acting on the row index

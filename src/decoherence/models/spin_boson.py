@@ -24,6 +24,7 @@ from ..lindblad import (
     ExtraTerm,
     LindbladGenerator,
     QuadratureError,
+    _coth,
     noise_dissipation_kernels,
 )
 
@@ -56,9 +57,7 @@ class SpinBosonParams:
         return 2.0 / self.T
 
 
-def spin_boson_pure_dephasing(params: SpinBosonParams,
-                              check_infrared: bool = True,
-                              ) -> Callable[[float], float]:
+def spin_boson_pure_dephasing(params: SpinBosonParams) -> Callable[[float], float]:
     """Exact coherence factor |rho_01(t) / rho_01(0)| for Delta0 = 0.
 
     The sigma_z populations are untouched; the coherence decays as
@@ -75,31 +74,23 @@ def spin_boson_pure_dephasing(params: SpinBosonParams,
         raise ValueError("exact solution requires Delta0 = 0")
     J, T = params.J, params.T
 
-    if check_infrared:
-        # estimate the low-frequency exponent s of J ~ w^s; the integrand
-        # behaves as w^s near zero at T = 0 and as T w^(s-1) at T > 0
-        w1, w2 = 1e-8 * params.cutoff, 1e-6 * params.cutoff
-        j1, j2 = J(w1), J(w2)
-        if j1 > 0 and j2 > 0:
-            s = math.log(j2 / j1) / math.log(w2 / w1)
-            if (T == 0.0 and s <= -1.0) or (T > 0.0 and s <= 0.0):
-                raise QuadratureError(
-                    f"infrared-divergent dephasing integral: J ~ w^{s:.2f} "
-                    f"at low frequency with T={T}")
-
-    def coth(x: float) -> float:
-        if x > 36.0:
-            return 1.0
-        if x < 1e-8:
-            return 1.0 / x + x / 3.0
-        return 1.0 / math.tanh(x)
+    # estimate the low-frequency exponent s of J ~ w^s; the integrand
+    # behaves as w^s near zero at T = 0 and as T w^(s-1) at T > 0
+    w1, w2 = 1e-8 * params.cutoff, 1e-6 * params.cutoff
+    j1, j2 = J(w1), J(w2)
+    if j1 > 0 and j2 > 0:
+        s = math.log(j2 / j1) / math.log(w2 / w1)
+        if (T == 0.0 and s <= -1.0) or (T > 0.0 and s <= 0.0):
+            raise QuadratureError(
+                f"infrared-divergent dephasing integral: J ~ w^{s:.2f} "
+                f"at low frequency with T={T}")
 
     def gamma_of_t(t: float) -> float:
         if t == 0.0:
             return 0.0
 
         def integrand(w: float) -> float:
-            th = coth(w / (2.0 * T)) if T > 0 else 1.0
+            th = _coth(w / (2.0 * T)) if T > 0 else 1.0
             return J(w) * th * (1.0 - math.cos(w * t)) / (w * w)
 
         with warnings.catch_warnings():
@@ -117,7 +108,6 @@ def spin_boson_pure_dephasing(params: SpinBosonParams,
 
 def spin_boson_born_markov(params: SpinBosonParams,
                            cutoff_time: float | None = None,
-                           strong_coupling_warning: bool = True,
                            ) -> LindbladGenerator:
     """Weak-coupling generator for the unbiased (omega0 = 0) model.
 
@@ -146,7 +136,7 @@ def spin_boson_born_markov(params: SpinBosonParams,
             zeta_conj = 0.0
     zeta = np.conj(zeta_conj)
 
-    if strong_coupling_warning and d0 > 0 and D > d0:
+    if d0 > 0 and D > d0:
         warnings.warn(
             f"dephasing strength D={D:.3g} exceeds the tunneling frequency "
             f"Delta0={d0:.3g}; the weak-coupling equation is unreliable here",

@@ -38,7 +38,6 @@ from .models import (
     cat_decoherence_time,
     cat_overlap,
     collisional_evolve_split_step,
-    collisional_generator,
     qbm_generator,
     spin_spin_coherence_factor,
 )
@@ -377,6 +376,8 @@ def parse_config(text: str) -> ScenarioConfig:
                               "custom_lindblad model only")
         traj = _validate_section("trajectories", dict(cp["trajectories"]),
                                  TRAJECTORIES_SCHEMA)
+        if traj.get("dt") is not None and integ["t_final"] < traj["dt"]:
+            raise ConfigError("t_final must be at least one trajectory step dt")
 
     if model == "custom_lindblad":
         dim = params["dim"]
@@ -590,13 +591,14 @@ def _run_grid_model(cfg: ScenarioConfig, summary: dict, out_dir: Path) -> dict:
     quantities = cfg.outputs["quantities"]
     threshold = _coherence_threshold(cfg)
 
-    gen = None  # the long-wavelength scattering model runs the exact split step
     if cfg.model == "collisional":
         params = CollisionalParams(Lambda=p["lambda"], Gamma_tot=p["gamma_tot"],
                                    regime=p["regime"], mass=p["mass"])
-        if params.regime == "short_wavelength":
-            gen = collisional_generator(params, grid,
-                                        include_free_dynamics=p["free_dynamics"])
+        times, mats = collisional_evolve_split_step(
+            params, grid, psi0, integ.dt, integ.n_steps,
+            record_stride=integ.record_stride,
+            include_free_dynamics=p["free_dynamics"])
+        summary["model_info"]["evolver"] = "split_step"
     else:
         qp = QBMParams(mass=p["mass"], Omega=p["omega"], gamma0=p["gamma0"],
                        T=p["temperature"], cutoff=p["cutoff"])
@@ -605,14 +607,6 @@ def _run_grid_model(cfg: ScenarioConfig, summary: dict, out_dir: Path) -> dict:
         else:
             gen = caldeira_leggett_generator(qp, grid,
                                              include_dissipation=p["dissipation"])
-
-    if gen is None:
-        times, mats = collisional_evolve_split_step(
-            params, grid, psi0, integ.dt, integ.n_steps,
-            record_stride=integ.record_stride,
-            include_free_dynamics=p["free_dynamics"])
-        summary["model_info"]["evolver"] = "split_step"
-    else:
         res = evolve(gen, psi0.density(), integ)
         times = res.times
         mats = [s.matrix for s in res.states]

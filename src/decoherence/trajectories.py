@@ -91,10 +91,11 @@ def unravel(gen: LindbladGenerator, rho0: DensityMatrix,
 
     Requires a Hermitian Hamiltonian and Hermitian Lindblad operators (the
     measurement-unraveling setting); generators with extra non-Lindblad
-    terms are rejected.  The drift is the generator's own right-hand side,
-    applied to the whole (n, dim, dim) batch of conditioned states.
+    terms, or with a kernel passed in without operators, are rejected.
+    The drift is the generator's own right-hand side, applied to the whole
+    (n, dim, dim) batch of conditioned states.
     """
-    if gen.extra_terms:
+    if gen.extra_terms or gen.bare_kernel:
         raise ValueError("unraveling covers pure Lindblad generators only")
     if gen.hamiltonian is not None and not gen.hamiltonian.is_hermitian(HERMITIAN_TOL):
         raise ValueError("unraveling requires a Hermitian Hamiltonian")

@@ -47,7 +47,8 @@ def full_generator(rng, dim=3):
 class TestApplyOnStacks:
     def test_stack_equals_per_matrix_apply(self, rng):
         gen = full_generator(rng)
-        assert gen._ldiag[0] is not None and gen._ldiag[1] is None
+        # the diagonal L is folded into the kernel; the other stays dense
+        assert gen.kernel is not None and len(gen._dense) == 1
         stack = np.stack([random_density(rng, 3).matrix for _ in range(6)])
         got = gen.apply(stack)
         for i in range(6):
@@ -60,6 +61,21 @@ class TestApplyOnStacks:
         got = gen.apply(stack)
         assert got.shape == stack.shape
         assert_allclose(got[1, 2], gen.apply(stack[1, 2]), rtol=0, atol=1e-14)
+
+
+class TestKernel:
+    def test_passed_kernel_adds_to_the_folded_one(self, rng):
+        diag = Operator(np.diag(rng.normal(size=3) + 1j * rng.normal(size=3)))
+        k = rng.uniform(size=(3, 3))
+        k = -(k + k.T) * (1.0 - np.eye(3))
+        rho = random_density(rng, 3).matrix
+        gen = LindbladGenerator(None, [(0.7, diag)], kernel=k)
+        want = LindbladGenerator(None, [(0.7, diag)]).apply(rho) + k * rho
+        assert_allclose(gen.apply(rho), want, rtol=0, atol=1e-14)
+
+    def test_non_square_kernel_rejected(self):
+        with pytest.raises(ValueError, match="mixed"):
+            LindbladGenerator(None, kernel=np.zeros((2, 3)))
 
 
 class TestRecordSchedule:

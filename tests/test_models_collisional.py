@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from decoherence.core import Grid1D
-from decoherence.lindblad import IntegratorConfig, evolve
+from decoherence.core import Grid1D, Operator
+from decoherence.lindblad import IntegratorConfig, LindbladGenerator, evolve
 from decoherence.models import (
     CollisionalParams,
     collisional_decoherence_time,
@@ -71,6 +71,20 @@ class TestGridResolutionGuard:
         assert gen.dim == 256
 
 
+def _array_bytes(obj, seen) -> int:
+    """Bytes of the distinct numpy arrays reachable from obj."""
+    if isinstance(obj, np.ndarray):
+        if id(obj) in seen:
+            return 0
+        seen.add(id(obj))
+        return obj.nbytes
+    if isinstance(obj, (list, tuple)):
+        return sum(_array_bytes(o, seen) for o in obj)
+    if hasattr(obj, "__dict__"):
+        return sum(_array_bytes(o, seen) for o in vars(obj).values())
+    return 0
+
+
 class TestShortWavelength:
     def test_flat_rate_decay_independent_of_separation(self):
         grid = Grid1D(24, -1.5, 1.5)
@@ -88,12 +102,48 @@ class TestShortWavelength:
         assert np.max(np.abs(ratios - np.exp(-g_tot * t))) < 1e-6
         assert_allclose(np.diag(rho_t), np.diag(rho0), atol=1e-10)
 
+    def test_generator_memory_is_quadratic(self):
+        n = 512
+        gen = collisional_generator(
+            CollisionalParams(Gamma_tot=1.0, regime="short_wavelength"),
+            Grid1D(n, -4.0, 4.0), include_free_dynamics=True)
+        # the kernel and the kinetic Hamiltonian: a few n^2 arrays, not n of them
+        assert _array_bytes(gen, set()) <= 4 * n * n * 16
+
+    def test_apply_equals_the_projector_sum(self, rng):
+        n, g_tot = 16, 1.7
+        grid = Grid1D(n, -2.0, 2.0)
+        gen = collisional_generator(
+            CollisionalParams(Gamma_tot=g_tot, regime="short_wavelength"), grid,
+            include_free_dynamics=False)
+        rho = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        # sum_i Gamma_tot (P_i rho P_i - {P_i, rho} / 2), P_i = |x_i><x_i|
+        want = np.zeros((n, n), dtype=complex)
+        for i in range(n):
+            proj = np.zeros((n, n))
+            proj[i, i] = 1.0
+            want += g_tot * (proj @ rho @ proj - 0.5 * (proj @ rho + rho @ proj))
+        assert_allclose(gen.apply(rho), want, rtol=0, atol=1e-13)
+        # the same operators given as Lindblad operators fold to the same kernel
+        folded = LindbladGenerator(None, [(g_tot, Operator(np.diag(np.eye(n)[i])))
+                                          for i in range(n)])
+        assert_allclose(folded.kernel, gen.kernel, rtol=0, atol=1e-15)
+
+
+def _decay_rates(params: CollisionalParams, x: np.ndarray) -> np.ndarray:
+    if params.regime == "long_wavelength":
+        return params.Lambda * np.subtract.outer(x, x) ** 2
+    return params.Gamma_tot * (1.0 - np.eye(x.size))
+
 
 class TestSplitStep:
-    def test_matches_rk4_with_free_dynamics(self):
+    @pytest.mark.parametrize("params", [
+        CollisionalParams(Lambda=0.4, mass=2.0),
+        CollisionalParams(Gamma_tot=2.0, regime="short_wavelength", mass=2.0),
+    ], ids=lambda p: p.regime)
+    def test_matches_rk4_with_free_dynamics(self, params):
         # independent-route check: spectral split-step against dense RK4
         grid = Grid1D(48, -6.0, 6.0)
-        params = CollisionalParams(Lambda=0.4, mass=2.0)
         psi0 = grid.two_packet_cat(1.5, 0.5)
         t, n_steps, dt = 0.5, 500, 1e-3
         times, mats = collisional_evolve_split_step(params, grid, psi0, dt, n_steps)
@@ -102,14 +152,16 @@ class TestSplitStep:
                      IntegratorConfig(dt=dt, t_final=t, record_stride=n_steps))
         assert np.max(np.abs(mats[-1] - res.final().matrix)) < 5e-6
 
-    def test_decay_only_mode_is_exact(self):
+    @pytest.mark.parametrize("params", [
+        CollisionalParams(Lambda=1.3),
+        CollisionalParams(Gamma_tot=1.3, regime="short_wavelength"),
+    ], ids=lambda p: p.regime)
+    def test_decay_only_mode_is_exact(self, params):
         grid = Grid1D(32, -2.0, 2.0)
-        params = CollisionalParams(Lambda=1.3)
         psi0 = grid.gaussian_packet(0.0, 0.9)
         _, mats = collisional_evolve_split_step(params, grid, psi0, 0.05, 10,
                                                 include_free_dynamics=False)
-        expected = psi0.density().matrix * np.exp(
-            -params.Lambda * np.subtract.outer(grid.x, grid.x) ** 2 * 0.5)
+        expected = psi0.density().matrix * np.exp(-_decay_rates(params, grid.x) * 0.5)
         assert np.max(np.abs(mats[-1] - expected)) < 1e-12
 
 

@@ -158,6 +158,41 @@ class TestRunScenario:
         want = 0.05 * (2 * 2.0) ** 2
         assert fit["rate"] == pytest.approx(want, rel=0.05)
 
+    def test_short_wavelength_runs_the_split_step(self, tmp_path):
+        text = """
+[scenario]
+name = sw
+model = collisional
+
+[params]
+gamma_tot = 2.0
+regime = short_wavelength
+free_dynamics = false
+
+[initial_state]
+kind = two_packet_cat
+x0 = 1.5
+sigma = 0.4
+
+[integrator]
+dt = 0.01
+t_final = 0.5
+record_stride = 5
+
+[outputs]
+quantities = coherence_magnitude
+fit = exponential
+
+[grid]
+n_points = 32
+x_min = -4.0
+x_max = 4.0
+"""
+        summary = run_scenario(parse_config(text), out_dir=tmp_path)
+        assert summary["model_info"]["evolver"] == "split_step"
+        # every off-diagonal element decays at the flat rate Gamma_tot
+        assert summary["fits"]["coherence_magnitude"]["rate"] == pytest.approx(2.0, rel=1e-9)
+
     def test_cavity_scenario_summary_values(self, tmp_path):
         cfg = parse_config((SCENARIO_DIR / "cavity_cat.cfg").read_text())
         summary = run_scenario(cfg, out_dir=tmp_path)
@@ -434,8 +469,11 @@ quantities = coherence_magnitude
         CUSTOM_TRAJECTORIES.replace("lindblad_1 = 1, 0, 0, -1", "lindblad_1 = 0, 1, 0, 0"),
         # fewer than one step
         MINIMAL_QUBIT.replace("t_final = 2.0", "t_final = 0.001"),
+        # fewer than one trajectory step
+        CUSTOM_TRAJECTORIES + "dt = 1.0\n",
     ], ids=["non_hermitian_h", "spin_boson_trajectories",
-            "non_hermitian_l_trajectories", "t_final_below_dt"])
+            "non_hermitian_l_trajectories", "t_final_below_dt",
+            "t_final_below_trajectory_dt"])
     def test_input_errors_exit_2(self, tmp_path, text):
         path = tmp_path / "bad.cfg"
         path.write_text(text)

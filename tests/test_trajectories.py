@@ -97,6 +97,13 @@ class TestUnravelBasics:
             unravel(gen, KET_PLUS.density(),
                     TrajectoryConfig(4, dt=1e-3, t_final=0.1, seed=1))
 
+    def test_kernel_passed_in_directly_rejected(self):
+        # the kernel of sigma_z dephasing, but with no operator to unravel
+        gen = LindbladGenerator(None, kernel=[[0.0, -1.0], [-1.0, 0.0]])
+        with pytest.raises(ValueError, match="pure Lindblad"):
+            unravel(gen, KET_PLUS.density(),
+                    TrajectoryConfig(4, dt=1e-3, t_final=0.1, seed=1))
+
 
 class TestDeterminism:
     def test_identical_seeds_reproduce_bit_identical_ensembles(self):
