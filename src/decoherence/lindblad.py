@@ -328,64 +328,162 @@ def _coth(x: float) -> float:
     return 1.0 / math.tanh(x)
 
 
-@dataclass(frozen=True)
-class CorrelationKernelSpec:
-    """Noise and dissipation kernels of a stationary environment."""
-
-    nu: Callable[[float], float]
-    eta: Callable[[float], float]
-    cutoff_time: float
-
-
 class QuadratureError(RuntimeError):
     """An environment integral failed to converge; increase the cutoff."""
 
 
-def noise_dissipation_kernels(J: Callable[[float], float], T: float,
-                              cutoff_time: float) -> CorrelationKernelSpec:
-    """Build nu(tau) and eta(tau) from a spectral density at temperature T.
+def _sin_over(x: float, tc: float) -> float:
+    """sin(x tc) / (2 x), finite at x = 0."""
+    return 0.5 * tc if x == 0.0 else 0.5 * math.sin(x * tc) / x
 
-    nu(tau)  = int_0^inf J(w) coth(w / 2 T) cos(w tau) dw
-    eta(tau) = int_0^inf J(w) sin(w tau) dw
 
-    evaluated with Fourier-weighted adaptive quadrature.  T = 0 is taken as
-    the coth -> 1 limit.
+def _versin_over(x: float, tc: float) -> float:
+    """(1 - cos(x tc)) / (2 x), finite at x = 0 and free of cancellation."""
+    return 0.0 if x == 0.0 else math.sin(0.5 * x * tc) ** 2 / x
+
+
+def _lag_kernel(kind: str, w: float, omega: float, tc: float) -> float:
+    """K(w) = int_0^tc b(w tau) s(omega tau) dtau, kind = b s in {c, s}^2."""
+    below, above = w - omega, w + omega
+    if kind == "cc":
+        return _sin_over(below, tc) + _sin_over(above, tc)
+    if kind == "ss":
+        return _sin_over(below, tc) - _sin_over(above, tc)
+    if kind == "sc":
+        return _versin_over(above, tc) + _versin_over(below, tc)
+    return _versin_over(above, tc) - _versin_over(below, tc)  # "cs"
+
+
+def _lag_kernel_tail(kind: str, omega: float, tc: float):
+    """K(w) beyond w = omega as sum over (weight, p, q) of
+    (p w + q) / (w^2 - omega^2) times weight(w tc), weight None meaning 1."""
+    c, s = math.cos(omega * tc), math.sin(omega * tc)
+    return {
+        "cc": (("sin", c, 0.0), ("cos", 0.0, -s * omega)),
+        "ss": (("sin", 0.0, c * omega), ("cos", -s, 0.0)),
+        "sc": ((None, 1.0, 0.0), ("sin", 0.0, -s * omega), ("cos", -c, 0.0)),
+        "cs": ((None, 0.0, -omega), ("sin", s, 0.0), ("cos", 0.0, c * omega)),
+    }[kind]
+
+
+@dataclass(frozen=True)
+class CorrelationKernelSpec:
+    """A stationary environment: spectral density J at temperature T.
+
+    Its noise and dissipation kernels
+
+        nu(tau)  = int_0^inf J(w) coth(w / 2 T) cos(w tau) dw
+        eta(tau) = int_0^inf J(w) sin(w tau) dw
+
+    enter the weak-coupling coefficients through their integrals over
+    the lag tau in [0, cutoff_time].  T = 0 is taken as the coth -> 1 limit.
     """
-    if T < 0:
-        raise ValueError("temperature must be nonnegative")
 
-    def weighted(w: float) -> float:
+    J: Callable[[float], float]
+    T: float
+    cutoff_time: float
+
+    def __post_init__(self):
+        if self.T < 0:
+            raise ValueError("temperature must be nonnegative")
+
+    def noise_weight(self, w: float) -> float:
+        """J(w) coth(w / 2 T), the spectral weight of nu."""
+        if self.T == 0:
+            return self.J(w)
         # w = 0 is a 0 * inf limit point for ohmic densities; nudging into
         # the smallest normal range evaluates the limit correctly
-        if T > 0 and w < 1e-300:
-            w = 1e-300
-        return J(w) * (_coth(w / (2.0 * T)) if T > 0 else 1.0)
+        w = max(w, 1e-300)
+        return self.J(w) * _coth(w / (2.0 * self.T))
 
-    def nu(tau: float) -> float:
+    def nu(self, tau: float) -> float:
+        """The noise kernel at one lag, by Fourier-weighted quadrature."""
         if tau == 0.0:
-            tau = 1e-12 * cutoff_time
+            tau = 1e-12 * self.cutoff_time
         with warnings.catch_warnings():
             # slow tail convergence of the Fourier extrapolation is benign
             # here; divergence still surfaces as a non-finite value
             warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
-            val, _ = quad(weighted, 0.0, np.inf, weight="cos", wvar=tau,
+            val, _ = quad(self.noise_weight, 0.0, np.inf, weight="cos", wvar=tau,
                           limit=400, limlst=200)
         if not np.isfinite(val):
             raise QuadratureError(f"noise kernel diverged at tau={tau}")
         return val
 
-    def eta(tau: float) -> float:
+    def eta(self, tau: float) -> float:
+        """The dissipation kernel at one lag, by Fourier-weighted quadrature."""
         if tau == 0.0:
             return 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
-            val, _ = quad(J, 0.0, np.inf, weight="sin", wvar=tau,
+            val, _ = quad(self.J, 0.0, np.inf, weight="sin", wvar=tau,
                           limit=400, limlst=200)
         if not np.isfinite(val):
             raise QuadratureError(f"dissipation kernel diverged at tau={tau}")
         return val
 
-    return CorrelationKernelSpec(nu=nu, eta=eta, cutoff_time=cutoff_time)
+    def lag_integral(self, kernel: Literal["nu", "eta"], trig: Literal["cos", "sin"],
+                     omega: float, rtol: float = 1e-8) -> tuple[float, float]:
+        """int_0^tc kernel(tau) trig(omega tau) dtau and its error estimate.
+
+        The tau integral is done in closed form, which leaves one integral
+        over frequency, int_0^inf A(w) K(w) dw with A = J coth(w / 2T) for
+        nu and A = J for eta.  Writing S(x) = sin(x tc) / 2x and
+        C(x) = (1 - cos(x tc)) / 2x, the kernels are
+
+            nu cos:  K = S(w - omega) + S(w + omega)
+            nu sin:  K = C(w + omega) - C(w - omega)
+            eta sin: K = S(w - omega) - S(w + omega)
+            eta cos: K = C(w + omega) + C(w - omega).
+
+        [0, w0] is integrated adaptively with a break point at omega; beyond
+        w0 each kernel splits into smooth parts times sin(w tc) and
+        cos(w tc), which go to Fourier-weighted quadrature.  A sum that is
+        not finite, whose error estimate exceeds 1% of it, or whose tail
+        fails to converge or grows, raises QuadratureError.
+        """
+        if kernel not in ("nu", "eta") or trig not in ("cos", "sin"):
+            raise ValueError(f"unknown lag integral {kernel} {trig}")
+        tc = self.cutoff_time
+        # nu is a cosine transform of its weight, eta a sine transform
+        kind = ("c" if kernel == "nu" else "s") + trig[0]
+        amp = self.noise_weight if kernel == "nu" else self.J
+        w0 = 2.0 * omega + 40.0 * math.pi / tc
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
+            val, err = quad(lambda w: amp(w) * _lag_kernel(kind, w, omega, tc),
+                            0.0, w0, points=[omega] if omega > 0 else None,
+                            epsabs=0.0, epsrel=rtol, limit=1000)
+        diverged = False
+        for weight, p, q in _lag_kernel_tail(kind, omega, tc):
+            if p == 0.0 and q == 0.0:
+                continue
+
+            def part(w, p=p, q=q):
+                return amp(w) * (p * w + q) / (w * w - omega * omega)
+
+            # QAWF takes an absolute tolerance only: rtol of the sum so far.
+            # full_output appends a message when QUADPACK fails; the Fourier
+            # extrapolation also "sums" a growing tail, so its last cycle
+            # must not outweigh its first
+            v, e, info, *failed = quad(part, w0, np.inf, weight=weight, wvar=tc,
+                                       epsabs=rtol * abs(val) or rtol, epsrel=rtol,
+                                       limit=1000, limlst=200, full_output=1)
+            cycles = info.get("rslst")
+            diverged = diverged or bool(failed) or (
+                cycles is not None and abs(cycles[info["lst"] - 1]) > abs(cycles[0]))
+            val, err = val + v, err + e
+        if diverged or not np.isfinite(val) or (val != 0.0 and err > 1e-2 * abs(val)):
+            raise QuadratureError(
+                f"{kernel} {trig} integral did not converge (value {val}, error {err}); "
+                "the spectral density must fall off at high frequency")
+        return val, err
+
+
+def noise_dissipation_kernels(J: Callable[[float], float], T: float,
+                              cutoff_time: float) -> CorrelationKernelSpec:
+    """The kernels nu(tau) and eta(tau) of a spectral density at temperature T."""
+    return CorrelationKernelSpec(J=J, T=T, cutoff_time=cutoff_time)
 
 
 @dataclass(frozen=True)
@@ -414,34 +512,23 @@ def born_markov_coefficients(kernels: CorrelationKernelSpec, omega: float,
     D              =          int_0^tc nu(tau)  cos(omega tau) dtau
     f              = -(1/M w) int_0^tc nu(tau)  sin(omega tau) dtau
 
+    Each is one frequency integral (CorrelationKernelSpec.lag_integral),
+    e.g. D = int_0^inf J(w) coth(w / 2T) K(w) dw with
+    K(w) = sin((w - omega) tc) / 2(w - omega) + sin((w + omega) tc) / 2(w + omega);
+    quadrature_error is the sum of their error estimates.
+
     gamma is the rate in the damping term -i gamma [x, {p, rho}]; for the
     ohmic Lorentz-Drude density it is gamma0 Lambda^2 / (Lambda^2 + w^2).
     """
-    tc = kernels.cutoff_time
-    total_err = 0.0
-
-    def integrate(f: Callable[[float], float]) -> float:
-        nonlocal total_err
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
-            val, err = quad(f, 0.0, tc, epsrel=rtol, limit=400)
-        if not np.isfinite(val) or (abs(val) > 0 and err > 1e-2 * abs(val)):
-            raise QuadratureError(
-                f"coefficient integral did not converge (value {val}, error {err}); "
-                "cutoff_time may be too small")
-        total_err += err
-        return val
-
-    eta_cos = integrate(lambda t: kernels.eta(t) * math.cos(omega * t))
-    eta_sin = integrate(lambda t: kernels.eta(t) * math.sin(omega * t))
-    nu_cos = integrate(lambda t: kernels.nu(t) * math.cos(omega * t))
-    nu_sin = integrate(lambda t: kernels.nu(t) * math.sin(omega * t))
+    eta_cos, eta_sin, nu_cos, nu_sin = (
+        kernels.lag_integral(kernel, trig, omega, rtol)
+        for kernel, trig in (("eta", "cos"), ("eta", "sin"), ("nu", "cos"), ("nu", "sin")))
     return BornMarkovCoefficients(
-        omega_shift_sq=-2.0 / mass * eta_cos,
-        gamma=eta_sin / (mass * omega),
-        D=nu_cos,
-        f=-nu_sin / (mass * omega),
-        quadrature_error=total_err,
+        omega_shift_sq=-2.0 / mass * eta_cos[0],
+        gamma=eta_sin[0] / (mass * omega),
+        D=nu_cos[0],
+        f=-nu_sin[0] / (mass * omega),
+        quadrature_error=eta_cos[1] + eta_sin[1] + nu_cos[1] + nu_sin[1],
     )
 
 
@@ -475,8 +562,6 @@ def born_markov_generator(hamiltonian: Operator | None,
     trace-preserving.  Note the result is generally not of completely
     positive form.
     """
-    import scipy.integrate as _si
-
     if len(system_ops) != len(interaction_picture_ops):
         raise ValueError("one trajectory per system operator required")
     if n_quadrature < 5 or n_quadrature % 2 == 0:
@@ -499,8 +584,8 @@ def born_markov_generator(hamiltonian: Operator | None,
             corr = np.array([correlation(alpha, beta, tau) for tau in taus])
             b_integrand += corr[:, None, None] * traj[beta]
             c_integrand += np.conj(corr)[:, None, None] * traj[beta]
-        b_mat = _si.simpson(b_integrand, x=taus, axis=0)
-        c_mat = _si.simpson(c_integrand, x=taus, axis=0)
+        b_mat = scipy.integrate.simpson(b_integrand, x=taus, axis=0)
+        c_mat = scipy.integrate.simpson(c_integrand, x=taus, axis=0)
         s = s_op.matrix
         # -[S, B rho] = -(S B) rho I + B rho S
         extra.append(ExtraTerm("sandwich", Operator(s @ b_mat), ident, -1.0,

@@ -6,6 +6,14 @@ dissipation; the coherence decay has an exact integral expression.  With
 tunneling Delta_0, the weak-coupling master equation carries a dephasing
 strength D, a complex decay coefficient zeta, and a bath-renormalized
 (non-Hermitian) effective Hamiltonian proportional to sigma_x.
+
+D and zeta^* are lag integrals of the bath kernels over [0, tc], each
+computed as one frequency integral int_0^inf A(w) K(w) dw.  With
+S(x) = sin(x tc) / 2x and C(x) = (1 - cos(x tc)) / 2x:
+
+    D          A = J coth(w / 2T)   K = S(w - Delta0) + S(w + Delta0)
+    Re zeta^*  A = J coth(w / 2T)   K = C(w + Delta0) - C(w - Delta0)
+    -Im zeta^* A = J                K = S(w - Delta0) - S(w + Delta0)
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from scipy.integrate import quad
 
 from ..core import Operator, SIGMA_X, SIGMA_Y, SIGMA_Z
 from ..lindblad import (
+    CorrelationKernelSpec,
     ExtraTerm,
     LindbladGenerator,
     QuadratureError,
@@ -106,6 +115,13 @@ def spin_boson_pure_dephasing(params: SpinBosonParams) -> Callable[[float], floa
     return lambda t: math.exp(-gamma_of_t(t))
 
 
+def _bath_kernels(params: SpinBosonParams,
+                  cutoff_time: float | None) -> CorrelationKernelSpec:
+    """The bath kernels, integrated over [0, tc], tc = 50 / cutoff by default."""
+    tc = cutoff_time if cutoff_time is not None else 50.0 / params.cutoff
+    return noise_dissipation_kernels(params.J, params.T, tc)
+
+
 def spin_boson_born_markov(params: SpinBosonParams,
                            cutoff_time: float | None = None,
                            ) -> LindbladGenerator:
@@ -121,19 +137,13 @@ def spin_boson_born_markov(params: SpinBosonParams,
     """
     if params.omega0 != 0:
         raise ValueError("weak-coupling generator covers the unbiased case omega0 = 0")
-    tc = cutoff_time if cutoff_time is not None else 50.0 / params.cutoff
-    kernels = noise_dissipation_kernels(params.J, params.T, tc)
+    kernels = _bath_kernels(params, cutoff_time)
     d0 = params.Delta0
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
-        D, _ = quad(lambda t: kernels.nu(t) * math.cos(d0 * t), 0.0, tc, limit=300)
-        if d0 > 0:
-            zr, _ = quad(lambda t: kernels.nu(t) * math.sin(d0 * t), 0.0, tc, limit=300)
-            zi, _ = quad(lambda t: kernels.eta(t) * math.sin(d0 * t), 0.0, tc, limit=300)
-            zeta_conj = zr - 1j * zi
-        else:
-            zeta_conj = 0.0
+    D, _ = kernels.lag_integral("nu", "cos", d0)
+    zeta_conj = 0.0
+    if d0 > 0:
+        zeta_conj = complex(kernels.lag_integral("nu", "sin", d0)[0],
+                            -kernels.lag_integral("eta", "sin", d0)[0])
     zeta = np.conj(zeta_conj)
 
     if d0 > 0 and D > d0:
@@ -153,13 +163,7 @@ def spin_boson_born_markov(params: SpinBosonParams,
 def spin_boson_dephasing_strength(params: SpinBosonParams,
                                   cutoff_time: float | None = None) -> float:
     """D = int_0^tc nu(tau) cos(Delta0 tau) dtau for the unbiased model."""
-    tc = cutoff_time if cutoff_time is not None else 50.0 / params.cutoff
-    kernels = noise_dissipation_kernels(params.J, params.T, tc)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
-        D, _ = quad(lambda t: kernels.nu(t) * math.cos(params.Delta0 * t),
-                    0.0, tc, limit=300)
-    return D
+    return _bath_kernels(params, cutoff_time).lag_integral("nu", "cos", params.Delta0)[0]
 
 
 def effective_spin_env_spectral_density(J: Callable[[float], float], T: float,

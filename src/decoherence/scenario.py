@@ -378,6 +378,7 @@ def parse_config(text: str) -> ScenarioConfig:
                                  TRAJECTORIES_SCHEMA)
         if traj.get("dt") is not None and integ["t_final"] < traj["dt"]:
             raise ConfigError("t_final must be at least one trajectory step dt")
+        _trajectory_stride(integ, traj)
 
     if model == "custom_lindblad":
         dim = params["dim"]
@@ -403,6 +404,17 @@ def parse_config(text: str) -> ScenarioConfig:
         initial_state=state, integrator=integ, outputs=outputs,
         grid=grid, trajectories=traj,
     )
+
+
+def _trajectory_stride(integ: dict, traj: dict) -> int:
+    """Trajectory steps per record, so that trajectories and the timeseries
+    are recorded at the same times."""
+    ratio = integ["record_stride"] * integ["dt"] / (traj.get("dt") or integ["dt"])
+    stride = round(ratio)
+    if stride < 1 or abs(ratio - stride) > 1e-9 * ratio:
+        raise ConfigError("the trajectory dt must divide record_stride * dt "
+                          "of the integrator")
+    return stride
 
 
 def _custom_operators(params: dict) -> tuple[Operator, list[tuple[float, Operator]]]:
@@ -598,6 +610,7 @@ def _run_grid_model(cfg: ScenarioConfig, summary: dict, out_dir: Path) -> dict:
             params, grid, psi0, integ.dt, integ.n_steps,
             record_stride=integ.record_stride,
             include_free_dynamics=p["free_dynamics"])
+        states = None  # the split step returns unvalidated matrices
         summary["model_info"]["evolver"] = "split_step"
     else:
         qp = QBMParams(mass=p["mass"], Omega=p["omega"], gamma0=p["gamma0"],
@@ -609,16 +622,17 @@ def _run_grid_model(cfg: ScenarioConfig, summary: dict, out_dir: Path) -> dict:
                                              include_dissipation=p["dissipation"])
         res = evolve(gen, psi0.density(), integ)
         times = res.times
-        mats = [s.matrix for s in res.states]
+        states = res.states
+        mats = [s.matrix for s in states]
         summary["model_info"]["evolver"] = "rk4"
 
     series: dict = {"t": list(times)}
     if "purity" in quantities:
         series["purity"] = [float(np.real(np.trace(m @ m))) for m in mats]
     if "entropy" in quantities:
-        series["entropy"] = [
-            measures.von_neumann_entropy(DensityMatrix(m, tol=1e-5, clamp=1e-5))
-            for m in mats]
+        if states is None:
+            states = [DensityMatrix(m, tol=1e-5, clamp=1e-5) for m in mats]
+        series["entropy"] = [measures.von_neumann_entropy(s) for s in states]
     if "coherence_magnitude" in quantities:
         i0, j0 = _coherence_peak_index(mats[0], grid, threshold)
         series["coherence_magnitude"] = [float(np.abs(m[i0, j0])) for m in mats]
@@ -679,7 +693,7 @@ def _run_qubit_lindblad(cfg: ScenarioConfig, summary: dict, out_dir: Path) -> di
             dt=tj.get("dt") or integ["dt"],
             t_final=integ["t_final"],
             seed=tj.get("seed") if tj.get("seed") is not None else cfg.seed,
-            record_stride=integ["record_stride"])
+            record_stride=_trajectory_stride(integ, tj))
         ens = unravel(gen, rho0, tcfg)
         from .core import SIGMA_X
         stats = ensemble_statistics(ens, SIGMA_X)

@@ -1,5 +1,9 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+import scipy.integrate
 
 from decoherence.core import DensityMatrix, Operator, StateVector
 
@@ -30,3 +34,16 @@ def random_unitary(rng, dim: int) -> Operator:
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(a)
     return Operator(q * (np.diag(r) / np.abs(np.diag(r))))
+
+
+def nested_lag_integral(spec, kernel: str, trig: str, omega: float) -> tuple[float, float]:
+    """int_0^tc kernel(tau) trig(omega tau) dtau in the nested order: an
+    adaptive quadrature over tau whose every node evaluates spec.nu or
+    spec.eta, itself a Fourier quadrature over frequency.  Returns the value
+    and the outer quadrature's error estimate."""
+    k = spec.nu if kernel == "nu" else spec.eta
+    g = math.cos if trig == "cos" else math.sin
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
+        return scipy.integrate.quad(lambda t: k(t) * g(omega * t), 0.0,
+                                    spec.cutoff_time, epsrel=1e-8, limit=400)

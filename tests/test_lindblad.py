@@ -17,6 +17,7 @@ from decoherence.lindblad import (
     LindbladGenerator,
     PURE_DEPHASING_RATE_FACTOR,
     PositivityLossError,
+    QuadratureError,
     apply_generator,
     born_markov_coefficients,
     caldeira_leggett_lindblad_operator,
@@ -30,7 +31,7 @@ from decoherence.lindblad import (
 )
 from decoherence.measures import purity
 
-from conftest import random_density, random_hermitian
+from conftest import nested_lag_integral, random_density, random_hermitian
 
 
 class TestApplyGenerator:
@@ -272,8 +273,7 @@ class TestKernels:
 class TestBornMarkovCoefficients:
     def test_zero_kernels_give_zero_coefficients(self):
         from decoherence.lindblad import CorrelationKernelSpec
-        spec = CorrelationKernelSpec(nu=lambda t: 0.0, eta=lambda t: 0.0,
-                                     cutoff_time=1.0)
+        spec = CorrelationKernelSpec(J=lambda w: 0.0, T=1.0, cutoff_time=1.0)
         c = born_markov_coefficients(spec, omega=1.0, mass=1.0)
         assert c.omega_shift_sq == 0.0 and c.gamma == 0.0
         assert c.D == 0.0 and c.f == 0.0
@@ -307,6 +307,32 @@ class TestBornMarkovCoefficients:
         # the weak-coupling damping rate gamma0 Lambda^2 / (Lambda^2 + Omega^2)
         want = g0 * lam ** 2 / (lam ** 2 + omega ** 2)
         assert gammas[0] == pytest.approx(want, rel=1e-6)
+
+
+class TestSwappedOrderCoefficients:
+    @pytest.mark.parametrize("omega", [0.5, 1.0])
+    @pytest.mark.parametrize("lam", [5.0, 20.0])
+    @pytest.mark.parametrize("T", [2.0, 100.0])
+    def test_matches_the_nested_quadrature(self, T, lam, omega):
+        # one frequency integral per coefficient against the tau quadrature of
+        # the kernels, within the error estimates that both report
+        m = 1.0
+        spec = noise_dissipation_kernels(ohmic(m, 0.1, lam), T=T,
+                                         cutoff_time=50.0 / lam)
+        c = born_markov_coefficients(spec, omega=omega, mass=m)
+        for name, kernel, trig, scale in [("D", "nu", "cos", 1.0),
+                                          ("f", "nu", "sin", -1.0 / (m * omega)),
+                                          ("gamma", "eta", "sin", 1.0 / (m * omega)),
+                                          ("omega_shift_sq", "eta", "cos", -2.0 / m)]:
+            val, err = nested_lag_integral(spec, kernel, trig, omega)
+            assert abs(getattr(c, name) - scale * val) <= \
+                abs(scale) * err + c.quadrature_error, name
+
+    def test_non_convergent_spectral_density_raises(self):
+        # super-ohmic without a cutoff: the frequency integrals grow without bound
+        spec = noise_dissipation_kernels(lambda w: w * w, T=1.0, cutoff_time=1.0)
+        with pytest.raises(QuadratureError):
+            born_markov_coefficients(spec, omega=1.0)
 
 
 class TestGenericBornMarkovBuilder:

@@ -23,7 +23,7 @@ from decoherence.models.spin_boson import (
 )
 from decoherence.lindblad import QuadratureError
 
-from conftest import random_density
+from conftest import nested_lag_integral, random_density
 
 
 def make_params(alpha=0.1, T=1.0, cutoff=50.0, delta0=0.0):
@@ -120,6 +120,38 @@ class TestBornMarkovGenerator:
         p = make_params(alpha=5.0, T=50.0, cutoff=50.0, delta0=0.05)
         with pytest.warns(UserWarning, match="weak-coupling"):
             spin_boson_born_markov(p)
+
+
+class TestSwappedOrderCoefficients:
+    @pytest.mark.parametrize("delta0", [0.0, 1.0])
+    def test_match_the_nested_quadrature(self, delta0):
+        # D and zeta^* against the tau quadrature of the kernels, within the
+        # error estimates of both orders
+        p = make_params(alpha=0.02, T=1.0, cutoff=50.0, delta0=delta0)
+        gen = spin_boson_born_markov(p)
+        kernels = noise_dissipation_kernels(p.J, p.T, 50.0 / p.cutoff)
+
+        def within_errors(value, kernel, trig):
+            nested, nested_err = nested_lag_integral(kernels, kernel, trig, delta0)
+            _, swapped_err = kernels.lag_integral(kernel, trig, delta0)
+            return abs(value - nested) <= nested_err + swapped_err
+
+        d = spin_boson_dephasing_strength(p)
+        assert d == -gen.extra_terms[0].coeff.real
+        assert within_errors(d, "nu", "cos")
+        zeta_conj = complex(gen.hamiltonian.matrix[0, 1]) - 0.5 * delta0
+        assert within_errors(zeta_conj.real, "nu", "sin")
+        assert within_errors(-zeta_conj.imag, "eta", "sin")
+
+    @pytest.mark.parametrize("delta0", [0.0, 1.0])
+    def test_non_convergent_spectral_density_raises(self, delta0):
+        # super-ohmic without a cutoff: the frequency integrals grow without bound
+        p = SpinBosonParams(omega0=0.0, Delta0=delta0, J=lambda w: w * w,
+                            T=1.0, cutoff=1.0)
+        with pytest.raises(QuadratureError):
+            spin_boson_born_markov(p)
+        with pytest.raises(QuadratureError):
+            spin_boson_dephasing_strength(p)
 
 
 class TestEffectiveSpectralDensity:

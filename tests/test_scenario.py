@@ -332,6 +332,20 @@ class TestTrajectoriesScenario:
         for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_finer_trajectory_step_records_the_timeseries_times(self, tmp_path):
+        # half the integrator's dt: the trajectories take twice the record stride
+        path = tmp_path / "traj.cfg"
+        path.write_text(CUSTOM_TRAJECTORIES + "dt = 0.005\n")
+        assert cli_main(["run", str(path), "--out", str(tmp_path)]) == 0
+
+        def t_column(name):
+            rows = (tmp_path / name).read_text().splitlines()
+            return [row.split(",")[0] for row in rows]
+
+        want = t_column("traj_timeseries.csv")
+        assert len(want) == 1 + 6  # t = 0, 0.1, ..., 0.5
+        assert t_column("traj_trajectories.csv") == want
+
 
 def _wigner_mid_amplitude(path: Path) -> float:
     rows = np.genfromtxt(path, delimiter=",", names=True)
@@ -471,9 +485,11 @@ quantities = coherence_magnitude
         MINIMAL_QUBIT.replace("t_final = 2.0", "t_final = 0.001"),
         # fewer than one trajectory step
         CUSTOM_TRAJECTORIES + "dt = 1.0\n",
+        # a record interval of 10 * 0.01 is not a whole number of 0.03 steps
+        CUSTOM_TRAJECTORIES + "dt = 0.03\n",
     ], ids=["non_hermitian_h", "spin_boson_trajectories",
             "non_hermitian_l_trajectories", "t_final_below_dt",
-            "t_final_below_trajectory_dt"])
+            "t_final_below_trajectory_dt", "trajectory_dt_not_dividing_record_interval"])
     def test_input_errors_exit_2(self, tmp_path, text):
         path = tmp_path / "bad.cfg"
         path.write_text(text)
