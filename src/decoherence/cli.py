@@ -1,6 +1,6 @@
 """Command-line front end: run, validate, and list scenario models.
 
-Exit codes: 0 success, 2 invalid configuration, 3 numerical failure.
+Exit codes: 0 success, 2 bad configuration or output directory, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -75,6 +75,9 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as exc:
+        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     print(json.dumps({"scenario": summary["scenario"],
                       "files": summary["files"]}, sort_keys=True))
     return EXIT_OK

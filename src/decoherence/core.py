@@ -3,7 +3,7 @@
 Operators, state vectors, and density matrices are thin immutable wrappers
 around dense complex numpy arrays, plus the handful of constructions the
 rest of the package is built on: tensor products, partial traces, spectral
-decompositions, coherent/Fock states, and uniform position grids.
+decompositions, coherent/Fock states, uniform position grids and CSV tables.
 
 Everything is dense and aimed at desk scale (dimensions up to a few
 thousand).  Arrays are frozen after construction so values can be shared
@@ -59,9 +59,6 @@ class Operator:
     def is_unitary(self, tol: float = DEFAULT_TOL) -> bool:
         d = self.matrix @ self.matrix.conj().T - np.eye(self.dim)
         return float(np.max(np.abs(d))) <= tol
-
-    def frobenius_norm(self) -> float:
-        return float(np.linalg.norm(self.matrix))
 
     # Arithmetic returns plain Operators; scalars multiply elementwise.
     def __add__(self, other):
@@ -173,10 +170,6 @@ class DensityMatrix:
             m = (v * w) @ v.conj().T
         self.matrix = _freeze(m)
         self.dim = m.shape[0]
-
-    @classmethod
-    def from_state(cls, psi: StateVector) -> "DensityMatrix":
-        return psi.density()
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
@@ -388,3 +381,28 @@ class Grid1D:
         b = np.exp(-((self.x + x0) ** 2) / (4.0 * sigma ** 2) - 1j * k0 * self.x)
         psi = a + b
         return StateVector(psi / np.linalg.norm(psi))
+
+
+# ---------------------------------------------------------------------------
+# Output tables
+# ---------------------------------------------------------------------------
+
+#: Rows `write_csv` formats per write; bounds its string buffers.
+CSV_CHUNK_ROWS = 4096
+
+
+def write_csv(path, header, columns) -> None:
+    """Write equal-length columns as a CSV table under a header row.
+
+    Each value is written as repr of its Python value (shortest round-trip
+    for floats), fields are joined by "," and every row ends in "\r\n", as
+    the csv module writes them, so fixed inputs give byte-identical files.
+    """
+    columns = [np.asarray(c) for c in columns]
+    if len({len(c) for c in columns}) > 1:
+        raise ValueError("CSV columns differ in length")
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+            fields = [map(repr, c[lo:lo + CSV_CHUNK_ROWS].tolist()) for c in columns]
+            fh.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")

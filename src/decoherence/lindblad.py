@@ -439,8 +439,8 @@ class CorrelationKernelSpec:
         [0, w0] is integrated adaptively with a break point at omega; beyond
         w0 each kernel splits into smooth parts times sin(w tc) and
         cos(w tc), which go to Fourier-weighted quadrature.  A sum that is
-        not finite, whose error estimate exceeds 1% of it, or whose tail
-        fails to converge or grows, raises QuadratureError.
+        not finite, whose error estimate exceeds 1% of it, or whose tail fails
+        to converge, grows, or falls no faster than 1/w, raises QuadratureError.
         """
         if kernel not in ("nu", "eta") or trig not in ("cos", "sin"):
             raise ValueError(f"unknown lag integral {kernel} {trig}")
@@ -461,6 +461,12 @@ class CorrelationKernelSpec:
 
             def part(w, p=p, q=q):
                 return amp(w) * (p * w + q) / (w * w - omega * omega)
+
+            # QUADPACK's infinite-range rule reports success on a log-divergent
+            # tail: w part(w) must fall at least tenfold from 1e3 w0 to 1e6 w0
+            if weight is None and not abs(part(1e6 * w0)) <= 1e-4 * abs(part(1e3 * w0)):
+                diverged = True
+                continue
 
             # QAWF takes an absolute tolerance only: rtol of the sum so far.
             # full_output appends a message when QUADPACK fails; the Fourier

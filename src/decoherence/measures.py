@@ -9,13 +9,12 @@ sieve identify pointer observables and robust states.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
 import numpy as np
 
-from .core import DensityMatrix, Grid1D, Operator, StateVector, partial_trace
+from .core import DensityMatrix, Grid1D, Operator, StateVector, partial_trace, write_csv
 from .lindblad import IntegratorConfig, LindbladGenerator, evolve
 
 #: Eigenvalues below this floor are treated as absent from the mixture.
@@ -76,14 +75,9 @@ class WignerField:
         return np.sum(self.values, axis=0) * dx
 
     def to_csv(self, path) -> None:
-        """Rows of (x, p, W)."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "p", "w"])
-            for i, xv in enumerate(self.x):
-                for j, pv in enumerate(self.p):
-                    writer.writerow([repr(float(xv)), repr(float(pv)),
-                                     repr(float(self.values[i, j]))])
+        """Rows of (x, p, W), x outer and p inner."""
+        write_csv(path, ["x", "p", "w"], [np.repeat(self.x, len(self.p)),
+                                          np.tile(self.p, len(self.x)), self.values.ravel()])
 
 
 def wigner(rho: DensityMatrix | np.ndarray, grid: Grid1D,

@@ -215,10 +215,6 @@ class CodeState:
     physical_state: StateVector
     applied_errors: tuple[int, ...] = ()
 
-    @property
-    def n_physical(self) -> int:
-        return 3
-
 
 def _hadamard3() -> np.ndarray:
     return np.kron(np.kron(_H, _H), _H)

@@ -11,7 +11,6 @@ runs byte-identical.
 from __future__ import annotations
 
 import configparser
-import csv
 import io
 import json
 import math
@@ -22,6 +21,7 @@ import numpy as np
 
 from . import measures
 from .core import DensityMatrix, Grid1D, Operator, StateVector, bloch_state
+from .core import write_csv as _write_csv
 from .lindblad import (
     IntegratorConfig,
     LindbladGenerator,
@@ -531,15 +531,6 @@ def _coherence_peak_index(m0: np.ndarray, grid: Grid1D,
     return flat // grid.n_points, flat % grid.n_points
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating))
-                             else v for v in row])
-
-
 def run_scenario(cfg: ScenarioConfig, out_dir: str | Path = ".") -> dict:
     """Execute a parsed scenario; returns the summary dict after writing files."""
     out_dir = Path(out_dir)
@@ -577,10 +568,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path = ".") -> dict:
     table_quantities += [q for q in series if q not in table_quantities]
     if table_quantities:
         path = out_dir / f"{name}_timeseries.csv"
-        header = ["t"] + list(table_quantities)
-        rows = [[times[i]] + [series[q][i] for q in table_quantities]
-                for i in range(len(times))]
-        _write_csv(path, header, rows)
+        _write_csv(path, ["t"] + table_quantities,
+                   [times] + [series[q] for q in table_quantities])
         summary["files"]["timeseries"] = path.name
 
     fit_kind = cfg.outputs["fit"]
@@ -638,11 +627,9 @@ def _run_grid_model(cfg: ScenarioConfig, summary: dict, out_dir: Path) -> dict:
         series["coherence_magnitude"] = [float(np.abs(m[i0, j0])) for m in mats]
     if "position_density" in quantities:
         path = out_dir / f"{cfg.name}_position_density.csv"
-        rows = []
-        for t, m in zip(times, mats):
-            dens = np.real(np.diag(m)) / grid.dx
-            rows.extend([t, x, d] for x, d in zip(grid.x, dens))
-        _write_csv(path, ["t", "x", "density"], rows)
+        dens = np.concatenate([np.real(np.diag(m)) for m in mats]) / grid.dx
+        _write_csv(path, ["t", "x", "density"],
+                   [np.repeat(times, grid.n_points), np.tile(grid.x, len(mats)), dens])
         summary["files"]["position_density"] = path.name
     if "wigner_snapshots" in quantities:
         snap_times = cfg.outputs["wigner_times"] or (times[0], times[-1])
@@ -699,8 +686,7 @@ def _run_qubit_lindblad(cfg: ScenarioConfig, summary: dict, out_dir: Path) -> di
         stats = ensemble_statistics(ens, SIGMA_X)
         path = out_dir / f"{cfg.name}_trajectories.csv"
         _write_csv(path, ["t", "mean_sx", "stderr_sx"],
-                   [[t, m, s] for t, m, s in
-                    zip(stats["times"], stats["mean"], stats["stderr"])])
+                   [stats["times"], stats["mean"], stats["stderr"]])
         summary["files"]["trajectories"] = path.name
     return series
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .core import DensityMatrix, Operator
+from .core import DensityMatrix, Operator, write_csv
 from .lindblad import LindbladGenerator, _march, record_steps
 
 TRACE_DRIFT_LIMIT = 1e-4
@@ -178,14 +178,10 @@ def ensemble_statistics(ens: TrajectoryEnsemble, obs: Operator) -> dict:
 
 def export_ensemble_csv(ens: TrajectoryEnsemble, obs: Operator, path) -> None:
     """Rows (trajectory_id, t, value) of <obs> along each trajectory."""
-    import csv
     vals = np.real(np.einsum("ntij,ji->nt", ens.conditioned_states, obs.matrix))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trajectory_id", "t", "value"])
-        for j in range(vals.shape[0]):
-            for k, t in enumerate(ens.times):
-                writer.writerow([j, repr(float(t)), repr(float(vals[j, k]))])
+    n, n_rec = vals.shape
+    write_csv(path, ["trajectory_id", "t", "value"],
+              [np.repeat(np.arange(n), n_rec), np.tile(ens.times, n), vals.ravel()])
 
 
 def export_ensemble_summary_json(ens: TrajectoryEnsemble, obs: Operator, path) -> None:

@@ -334,6 +334,13 @@ class TestSwappedOrderCoefficients:
         with pytest.raises(QuadratureError):
             born_markov_coefficients(spec, omega=1.0)
 
+    def test_log_divergent_noise_tail_raises(self):
+        # ohmic without a cutoff: the non-oscillating tail of nu sin falls like
+        # 1/w, so its integral grows like log w though QUADPACK reports success
+        spec = noise_dissipation_kernels(lambda w: w, T=1.0, cutoff_time=1.0)
+        with pytest.raises(QuadratureError):
+            spec.lag_integral("nu", "sin", 1.0)
+
 
 class TestGenericBornMarkovBuilder:
     def test_zero_correlation_leaves_only_the_unitary_part(self, rng):

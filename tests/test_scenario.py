@@ -472,6 +472,15 @@ quantities = coherence_magnitude
         path.write_text(text)
         assert cli_main(["run", str(path), "--out", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize("out", ["blocker", "blocker/results"],
+                             ids=["regular_file", "under_regular_file"])
+    def test_unwritable_output_directory_exits_2(self, tmp_path, capsys, out):
+        (tmp_path / "blocker").write_text("")
+        rc = cli_main(["run", str(SCENARIO_DIR / "dephasing_qubit.cfg"),
+                       "--out", str(tmp_path / out)])
+        assert rc == 2
+        assert "error: cannot write outputs:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text", [
         # a non-Hermitian Hamiltonian
         CUSTOM_TRAJECTORIES.replace("hamiltonian = 0, 0, 0, 0",
