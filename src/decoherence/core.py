@@ -6,8 +6,9 @@ rest of the package is built on: tensor products, partial traces, spectral
 decompositions, coherent/Fock states, uniform position grids and CSV tables.
 
 Everything is dense and aimed at desk scale (dimensions up to a few
-thousand).  Arrays are frozen after construction so values can be shared
-freely across threads.
+thousand), except operators on a position grid: a `GridOperator` carries
+its diagonals in momentum and in position and acts by FFT.  Arrays are
+frozen after construction so values can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 #: Default tolerance for Hermiticity / unit-trace / positivity checks.
 DEFAULT_TOL = 1e-9
@@ -35,7 +35,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 class Operator:
     """A dense complex square matrix on a finite-dimensional Hilbert space."""
 
-    __slots__ = ("matrix", "dim")
+    __slots__ = ("_matrix", "dim")
 
     def __init__(self, matrix):
         m = _freeze(matrix)
@@ -43,8 +43,12 @@ class Operator:
             raise ValueError(f"operator matrix must be square, got shape {m.shape}")
         if m.shape[0] < 1:
             raise ValueError("operator dimension must be >= 1")
-        self.matrix = m
+        self._matrix = m
         self.dim = m.shape[0]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self._matrix
 
     @classmethod
     def identity(cls, dim: int) -> "Operator":
@@ -80,8 +84,24 @@ class Operator:
             return StateVector(self.matrix @ other.amplitudes, normalize=False)
         return Operator(self.matrix @ _as_matrix(other, self.dim))
 
+    # The action on state matrices, or stacks of them along leading axes.
+    # `shared` is a dict for intermediate results of m that operators
+    # acting on the same m may share; a dense operator has none.
+    def left(self, m: np.ndarray, shared: dict | None = None) -> np.ndarray:
+        """self @ m."""
+        return self._matrix @ m
+
+    def right(self, m: np.ndarray, shared: dict | None = None) -> np.ndarray:
+        """m @ self."""
+        return m @ self._matrix
+
+    def commutator(self, m: np.ndarray, shared: dict | None = None) -> np.ndarray:
+        """[self, m]."""
+        a = self._matrix
+        return a @ m - m @ a
+
     def __repr__(self):
-        return f"Operator(dim={self.dim})"
+        return f"{type(self).__name__}(dim={self.dim})"
 
 
 def _as_matrix(x, dim: int) -> np.ndarray:
@@ -356,18 +376,16 @@ class Grid1D:
         """Angular wavenumbers of the FFT modes (hbar = 1 momenta)."""
         return 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.dx)
 
-    def position_operator(self) -> Operator:
-        return Operator(np.diag(self.x.astype(complex)))
+    def position_operator(self) -> "GridOperator":
+        return GridOperator(potential=self.x)
 
-    def momentum_operator(self) -> Operator:
-        """Dense spectral momentum operator F^dag diag(k) F."""
-        f = scipy.linalg.dft(self.n_points) / math.sqrt(self.n_points)
-        return Operator(f.conj().T @ np.diag(self.k.astype(complex)) @ f)
+    def momentum_operator(self) -> "GridOperator":
+        """Spectral momentum operator F^dag diag(k) F."""
+        return GridOperator(kinetic=self.k)
 
-    def kinetic_hamiltonian(self, mass: float) -> Operator:
-        """Dense spectral kinetic operator p^2 / 2m."""
-        f = scipy.linalg.dft(self.n_points) / math.sqrt(self.n_points)
-        return Operator(f.conj().T @ np.diag((self.k ** 2 / (2.0 * mass)).astype(complex)) @ f)
+    def kinetic_hamiltonian(self, mass: float) -> "GridOperator":
+        """Spectral kinetic operator p^2 / 2m."""
+        return GridOperator(kinetic=self.k ** 2 / (2.0 * mass))
 
     def gaussian_packet(self, x0: float, sigma: float, k0: float = 0.0) -> StateVector:
         """Normalized Gaussian wave packet centered at x0 with momentum k0."""
@@ -383,12 +401,96 @@ class Grid1D:
         return StateVector(psi / np.linalg.norm(psi))
 
 
+def _shared(shared: dict | None, key: str, compute):
+    if shared is None:
+        return compute()
+    if key not in shared:
+        shared[key] = compute()
+    return shared[key]
+
+
+class GridOperator(Operator):
+    """E(k) + V(x) on a uniform position grid.
+
+    `kinetic` is diagonal in momentum: E at the FFT modes of the grid, in
+    the order of Grid1D.k.  `potential` is diagonal in position: V at the
+    grid points.  Either may be None.  The operator acts on state matrices,
+    or stacks of them, by FFTs along one axis and elementwise products;
+    its dense `matrix` is built, by the same FFTs, only when asked for.
+    """
+
+    __slots__ = ("kinetic", "potential")
+
+    def __init__(self, kinetic=None, potential=None):
+        parts = [None if v is None else np.array(v).reshape(-1) for v in (kinetic, potential)]
+        sizes = {v.size for v in parts if v is not None}
+        if not sizes:
+            raise ValueError("grid operator needs a kinetic or a potential part")
+        if len(sizes) > 1:
+            raise ValueError(f"kinetic and potential sizes differ: {sizes}")
+        for v in parts:
+            if v is not None:
+                v.setflags(write=False)
+        self.kinetic, self.potential = parts
+        self.dim = sizes.pop()
+        self._matrix = None
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            self._matrix = _freeze(self.left(np.eye(self.dim)))
+        return self._matrix
+
+    def is_hermitian(self, tol: float = DEFAULT_TOL) -> bool:
+        return all(v is None or 2.0 * float(np.max(np.abs(v.imag))) <= tol
+                   for v in (self.kinetic, self.potential))
+
+    def left(self, m: np.ndarray, shared: dict | None = None) -> np.ndarray:
+        if self.kinetic is None:
+            return self.potential[:, None] * m
+        m_k = _shared(shared, "fft_rows", lambda: np.fft.fft(m, axis=-2))
+        out = np.fft.ifft(self.kinetic[:, None] * m_k, axis=-2)
+        if self.potential is not None:
+            out += self.potential[:, None] * m
+        return out
+
+    def right(self, m: np.ndarray, shared: dict | None = None) -> np.ndarray:
+        if self.kinetic is None:
+            return m * self.potential
+        # m F^-1 diag(E) F = (F diag(E) F^-1 m^T)^T, the DFT matrix being symmetric
+        m_k = _shared(shared, "ifft_columns", lambda: np.fft.ifft(m, axis=-1))
+        out = np.fft.fft(m_k * self.kinetic, axis=-1)
+        if self.potential is not None:
+            out += m * self.potential
+        return out
+
+    def commutator(self, m: np.ndarray, shared: dict | None = None) -> np.ndarray:
+        if self.kinetic is None:
+            return np.subtract.outer(self.potential, self.potential) * m
+        return self.left(m, shared) - self.right(m, shared)
+
+
 # ---------------------------------------------------------------------------
 # Output tables
 # ---------------------------------------------------------------------------
 
 #: Rows `write_csv` formats per write; bounds its string buffers.
 CSV_CHUNK_ROWS = 4096
+
+
+def _formatted(column: np.ndarray) -> list[str]:
+    """repr of each value of a column, formatting each distinct value once.
+
+    Floats are keyed by their bit pattern: comparing them as numbers would
+    merge -0.0 with 0.0 (and never match a nan).
+    """
+    if column.dtype.kind not in "fiub":
+        return list(map(repr, column.tolist()))
+    keys = column.view(f"i{column.itemsize}") if column.dtype.kind == "f" else column
+    distinct, index = np.unique(keys, return_inverse=True)
+    values = distinct.view(column.dtype) if column.dtype.kind == "f" else distinct
+    text = np.array(list(map(repr, values.tolist())), dtype=object)
+    return text[index].tolist()
 
 
 def write_csv(path, header, columns) -> None:
@@ -404,5 +506,5 @@ def write_csv(path, header, columns) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for lo in range(0, len(columns[0]), CSV_CHUNK_ROWS):
-            fields = [map(repr, c[lo:lo + CSV_CHUNK_ROWS].tolist()) for c in columns]
+            fields = [_formatted(c[lo:lo + CSV_CHUNK_ROWS]) for c in columns]
             fh.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")

@@ -27,10 +27,11 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Literal, Sequence
 
 import numpy as np
+import scipy.fft
 import scipy.integrate
 from scipy.integrate import quad
 
-from .core import DensityMatrix, Operator
+from .core import DensityMatrix, GridOperator, Operator
 
 TRACE_DRIFT_TOL = 1e-7
 POSITIVITY_DRIFT_TOL = 1e-7
@@ -56,19 +57,34 @@ class ExtraTerm:
     label: str = ""
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        A, B = self.a.matrix, self.b.matrix
-        if self.kind == "double_comm":
-            inner = B @ rho - rho @ B
-            return self.coeff * (A @ inner - inner @ A)
-        if self.kind == "comm_anticomm":
-            inner = B @ rho + rho @ B
-            return self.coeff * (A @ inner - inner @ A)
+        return self._apply(rho, {})
+
+    def _apply(self, rho: np.ndarray, shared: dict) -> np.ndarray:
+        """The term on rho; `shared` keeps B rho and rho B for other terms."""
+        if self.kind not in ("double_comm", "comm_anticomm", "sandwich"):
+            raise ValueError(f"unknown term kind {self.kind}")
         if self.kind == "sandwich":
-            return self.coeff * (A @ rho @ B)
-        raise ValueError(f"unknown term kind {self.kind}")
+            return self.coeff * self.b.right(_product(self.a, "left", rho, shared))
+        left = _product(self.b, "left", rho, shared)
+        right = _product(self.b, "right", rho, shared)
+        inner = left - right if self.kind == "double_comm" else left + right
+        return self.coeff * self.a.commutator(inner)
 
 
-def _diag_or_none(m: np.ndarray) -> np.ndarray | None:
+def _product(op: Operator, side: str, rho: np.ndarray, shared: dict) -> np.ndarray:
+    """op rho or rho op, computed once per state; `shared` also holds the
+    intermediate results that grid operators share, such as FFTs of rho."""
+    key = (id(op), side)
+    if key not in shared:
+        shared[key] = (op.left if side == "left" else op.right)(rho, shared)
+    return shared[key]
+
+
+def _diagonal(op: Operator) -> np.ndarray | None:
+    """The diagonal of an operator that is diagonal in position, else None."""
+    if isinstance(op, GridOperator):
+        return op.potential if op.kinetic is None else None
+    m = op.matrix
     d = np.diag(m)
     if np.max(np.abs(m - np.diag(d))) == 0.0:
         return d
@@ -82,6 +98,8 @@ class LindbladGenerator:
     (dim, dim) kernel K_ij = sum kappa (d_i d_j^* - (|d_i|^2 + |d_j|^2) / 2),
     and their dissipator is K * rho.  A model whose kernel has no small
     operator form passes it directly as `kernel`; it adds to the folded one.
+    The potential V(x) of a GridOperator Hamiltonian E(k) + V(x) folds in
+    too, as -i (V_i - V_j^*); its kinetic part acts by FFT.
     """
 
     def __init__(self, hamiltonian: Operator | None,
@@ -114,12 +132,20 @@ class LindbladGenerator:
         terms = [] if kernel is None else [kernel]
         self._dense = []  # (rate, L, L^dag L) of the non-diagonal operators
         for rate, op in self.lindblad_ops:
-            d = _diag_or_none(op.matrix)
+            d = _diagonal(op)
             if d is None:
                 self._dense.append((rate, op.matrix, op.matrix.conj().T @ op.matrix))
             else:
                 dd = np.real(d * d.conj())
                 terms.append(rate * (np.outer(d, d.conj()) - 0.5 * np.add.outer(dd, dd)))
+        # the part of H acting as an operator; a grid H's potential V(x)
+        # acts elementwise, as the kernel -i (V_i - V_j^*)
+        self._h_action = hamiltonian
+        if isinstance(hamiltonian, GridOperator) and hamiltonian.potential is not None:
+            v = hamiltonian.potential
+            terms.append(-1j * np.subtract.outer(v, v.conj()))
+            self._h_action = (None if hamiltonian.kinetic is None
+                              else GridOperator(kinetic=hamiltonian.kinetic))
         self.kernel = sum(terms[1:], terms[0]) if terms else None
         self._h_is_hermitian = hamiltonian is None or hamiltonian.is_hermitian(1e-12)
 
@@ -160,18 +186,19 @@ class LindbladGenerator:
         term, the elementwise kernel included, acts on the last two axes.
         """
         out = np.zeros_like(rho, dtype=complex)
-        if self.hamiltonian is not None:
-            h = self.hamiltonian.matrix
+        shared: dict = {}
+        h = self._h_action
+        if h is not None:
             if self._h_is_hermitian:
-                out += -1j * (h @ rho - rho @ h)
+                out += -1j * h.commutator(rho, shared)
             else:
-                out += -1j * (h @ rho - rho @ h.conj().T)
+                out += -1j * (h.left(rho, shared) - rho @ h.matrix.conj().T)
         if self.kernel is not None:
             out += self.kernel * rho
         for rate, l, ldl in self._dense:
             out += rate * (l @ rho @ l.conj().T - 0.5 * (ldl @ rho + rho @ ldl))
         for term in self.extra_terms:
-            out += term.apply(rho)
+            out += term._apply(rho, shared)
         return out
 
     def superoperator(self) -> np.ndarray:
@@ -218,6 +245,53 @@ def _march(state: np.ndarray, step: Callable[[int, np.ndarray], np.ndarray],
         yield k, state
 
 
+def split_march(gen: LindbladGenerator, rho0: np.ndarray, dt: float, n_steps: int,
+                record_stride: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Strang-split stepping of H = E(k) + V(x) plus an elementwise kernel K.
+
+    The generator folds the potential into its kernel as -i(V_i - V_j^*);
+    that part of a step is the exact factor exp(K dt) in the position
+    representation, and the kinetic part is the exact phase
+    exp(-i(E_k - E_k'^*) dt) in the momentum representation.  Between
+    records the state stays in the momentum representation with half a
+    kinetic phase pending, so adjacent half steps fuse: a step is one 2-D
+    FFT to x, the factor, one 2-D FFT back and the full phase.  Yields
+    (k, position-representation state) at every recorded step, as _march
+    does, step 0 being rho0.  A generator with extra terms, non-diagonal
+    Lindblad operators or a Hamiltonian that is not a GridOperator raises
+    ValueError.
+    """
+    h = gen.hamiltonian
+    if gen.extra_terms or gen._dense or not (h is None or isinstance(h, GridOperator)):
+        raise ValueError("the split step needs H = E(k) + V(x) and an elementwise "
+                         "kernel, without extra terms or non-diagonal Lindblad operators")
+    # the generator's kernel holds V(x) already
+    decay = None if gen.kernel is None else np.exp(gen.kernel * dt)
+    if h is None or h.kinetic is None:
+        yield from _march(rho0, lambda _, r: r * decay, n_steps, record_stride)
+        return
+
+    # the momentum representation is fft2(rho): its column q carries the
+    # wavenumber of FFT mode -q, so columns see E at -q
+    e = h.kinetic
+    e_col = e[-np.arange(e.size)]
+    phase = np.exp(-1j * dt * np.subtract.outer(e, e_col.conj()))
+    half_rows, half_cols = np.exp(-0.5j * dt * e), np.exp(0.5j * dt * e_col.conj())
+
+    def step(_, s: np.ndarray) -> np.ndarray:
+        r = scipy.fft.ifft2(s)
+        if decay is not None:
+            r *= decay
+        s = scipy.fft.fft2(r, overwrite_x=True)
+        s *= phase
+        return s
+
+    start = scipy.fft.fft2(rho0) * half_rows[:, None] * half_cols
+    for k, s in _march(start, step, n_steps, record_stride):
+        # periodic boundaries: packets must stay clear of the grid edges
+        yield k, rho0 if k == 0 else scipy.fft.ifft2(s / half_rows[:, None] / half_cols)
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     dt: float
@@ -262,15 +336,22 @@ def _rk4_step(gen: LindbladGenerator, rho: np.ndarray, dt: float) -> np.ndarray:
     return rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _validated(rho: np.ndarray, t: float) -> DensityMatrix:
+def _positivity_hint(gen: LindbladGenerator) -> str:
+    """What to try when gen's states lose positivity."""
+    if any(t.label == "damping" for t in gen.extra_terms):
+        return ("the damping term gamma [x, {p, rho}] is not completely positive; "
+                "lindblad_repair_caldeira_leggett is the completely positive form")
+    return "reduce dt or check the generator"
+
+
+def _validated(rho: np.ndarray, t: float, hint: str) -> DensityMatrix:
     tr_err = abs(np.trace(rho) - 1.0)
     if not np.isfinite(tr_err) or tr_err > TRACE_DRIFT_TOL:
-        raise PositivityLossError(f"trace drifted by {tr_err:.3e} at t={t:.6g}")
+        raise PositivityLossError(f"trace drifted by {tr_err:.3e} at t={t:.6g}; {hint}")
     try:
         return DensityMatrix(rho, tol=1e-6, clamp=POSITIVITY_DRIFT_TOL)
     except ValueError as exc:
-        raise PositivityLossError(
-            f"{exc} at t={t:.6g}; reduce dt or check the generator") from exc
+        raise PositivityLossError(f"{exc} at t={t:.6g}; {hint}") from exc
 
 
 def evolve(gen: LindbladGenerator, rho0: DensityMatrix,
@@ -282,10 +363,11 @@ def evolve(gen: LindbladGenerator, rho0: DensityMatrix,
     Violations raise PositivityLossError.
     """
     states = []
+    hint = _positivity_hint(gen)
     for k, rho in _march(np.array(rho0.matrix),
                          lambda _, r: _rk4_step(gen, r, cfg.dt),
                          cfg.n_steps, cfg.record_stride):
-        states.append(rho0 if k == 0 else _validated(rho, k * cfg.dt))
+        states.append(rho0 if k == 0 else _validated(rho, k * cfg.dt, hint))
     return EvolutionResult(cfg.record_times(), states)
 
 

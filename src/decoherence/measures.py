@@ -137,8 +137,9 @@ def _momentum_marginal_error(field: WignerField, m: np.ndarray,
     distribution of wavenumber k = -p, so the reference is mirrored.
     """
     n = grid.n_points
-    f = np.fft.fft(np.eye(n), axis=0)  # rows e^{-i k x}
-    mom = np.real(np.diag(f @ m @ f.conj().T)) * grid.dx / (2.0 * np.pi)
+    # diag(F m F^dag) with F the DFT (rows e^{-i k x}); ifft carries a 1/n
+    mom = np.real(np.diag(np.fft.fft(np.fft.ifft(m, axis=1), axis=0))) \
+        * n * grid.dx / (2.0 * np.pi)
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.dx)
     order = np.argsort(k)
     k_sorted, mom_sorted = k[order], mom[order]

@@ -11,7 +11,10 @@ localization rate.
 
 The full equation is not of Lindblad form (the damping and anomalous terms
 are not completely positive on their own), so the generator carries them as
-structured extra terms.
+structured extra terms.  Its operators are grid operators: x is diagonal in
+position, p diagonal in momentum and H = p^2/2M + V(x) the sum of both, so
+a generator apply is FFTs and elementwise products, and no dense n x n
+operator is built.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.integrate
 
-from ..core import Grid1D, Operator
+from ..core import Grid1D, GridOperator
 from ..lindblad import (
     BornMarkovCoefficients,
     ExtraTerm,
@@ -59,6 +62,12 @@ def qbm_coefficients(params: QBMParams,
     return born_markov_coefficients(kernels, params.Omega, mass=params.mass)
 
 
+def _hamiltonian(grid: Grid1D, mass: float, omega_sq: float) -> GridOperator:
+    """p^2 / 2M + M omega_sq x^2 / 2, diagonal in momentum plus diagonal in position."""
+    return GridOperator(grid.kinetic_hamiltonian(mass).kinetic,
+                        0.5 * mass * omega_sq * grid.x ** 2)
+
+
 def qbm_generator(params: QBMParams, grid: Grid1D,
                   include_anomalous: bool = True,
                   include_dissipation: bool = True,
@@ -74,15 +83,13 @@ def qbm_generator(params: QBMParams, grid: Grid1D,
     c = coefficients if coefficients is not None else qbm_coefficients(params)
     x = grid.position_operator()
     p = grid.momentum_operator()
-    omega_sq = params.Omega ** 2 + c.omega_shift_sq
-    h = grid.kinetic_hamiltonian(params.mass).matrix \
-        + 0.5 * params.mass * omega_sq * np.diag((grid.x ** 2).astype(complex))
+    h = _hamiltonian(grid, params.mass, params.Omega ** 2 + c.omega_shift_sq)
     extra = []
     if include_dissipation:
         extra.append(ExtraTerm("comm_anticomm", x, p, -1j * c.gamma, label="damping"))
         if include_anomalous:
             extra.append(ExtraTerm("double_comm", x, p, -c.f, label="anomalous"))
-    return LindbladGenerator(Operator(h), [(2.0 * c.D, x)], extra_terms=extra)
+    return LindbladGenerator(h, [(2.0 * c.D, x)], extra_terms=extra)
 
 
 def caldeira_leggett_generator(params: QBMParams, grid: Grid1D,
@@ -104,15 +111,13 @@ def caldeira_leggett_generator(params: QBMParams, grid: Grid1D,
             stacklevel=2)
     x = grid.position_operator()
     p = grid.momentum_operator()
-    omega_sq = params.Omega ** 2 - 2.0 * params.gamma0 * params.cutoff
-    h = grid.kinetic_hamiltonian(params.mass).matrix \
-        + 0.5 * params.mass * omega_sq * np.diag((grid.x ** 2).astype(complex))
+    h = _hamiltonian(grid, params.mass, params.Omega ** 2 - 2.0 * params.gamma0 * params.cutoff)
     D = 2.0 * params.mass * params.gamma0 * params.T
     extra = []
     if include_dissipation:
         extra.append(ExtraTerm("comm_anticomm", x, p, -1j * params.gamma0,
                                label="damping"))
-    return LindbladGenerator(Operator(h), [(2.0 * D, x)], extra_terms=extra)
+    return LindbladGenerator(h, [(2.0 * D, x)], extra_terms=extra)
 
 
 # ---------------------------------------------------------------------------

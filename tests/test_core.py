@@ -8,6 +8,7 @@ from decoherence.core import (
     DensityMatrix,
     FockSpace,
     Grid1D,
+    GridOperator,
     KET_0,
     KET_PLUS,
     Operator,
@@ -222,6 +223,45 @@ class TestGrid:
         psi = g.gaussian_packet(0.0, 1.0, 2.0)
         p = g.momentum_operator()
         assert expectation(psi.density(), p) == pytest.approx(2.0, rel=1e-6)
+
+
+class TestGridOperator:
+    GRID = Grid1D(12, -3.0, 3.0)
+
+    def explicit(self, kinetic, potential):
+        """F^dag diag(E) F + diag(V) with the DFT matrix written out."""
+        n = self.GRID.n_points
+        j = np.arange(n)
+        f = np.exp(-2j * np.pi * np.outer(j, j) / n) / np.sqrt(n)
+        return f.conj().T @ np.diag(kinetic) @ f + np.diag(potential)
+
+    def test_matrix_and_action_equal_the_dense_products(self, rng):
+        g = self.GRID
+        e, v = g.k ** 2 / 3.0 + 0.2j * g.k, np.cos(g.x) - 0.1j
+        op = GridOperator(e, v)
+        want = self.explicit(e, v)
+        assert_allclose(op.matrix, want, rtol=0, atol=1e-13)
+        m = rng.normal(size=(2, 12, 12)) + 1j * rng.normal(size=(2, 12, 12))
+        assert_allclose(op.left(m), want @ m, rtol=0, atol=1e-12)
+        assert_allclose(op.right(m), m @ want, rtol=0, atol=1e-12)
+        assert_allclose(op.commutator(m), want @ m - m @ want, rtol=0, atol=1e-12)
+        assert_allclose(op.dag().matrix, want.conj().T, rtol=0, atol=1e-13)
+
+    def test_grid_operators_carry_their_diagonals(self):
+        g = self.GRID
+        assert_allclose(g.position_operator().potential, g.x)
+        assert_allclose(g.momentum_operator().kinetic, g.k)
+        assert_allclose(g.kinetic_hamiltonian(2.0).kinetic, g.k ** 2 / 4.0)
+        assert_allclose(g.momentum_operator().matrix,
+                        self.explicit(g.k, np.zeros(12)), rtol=0, atol=1e-13)
+        assert g.kinetic_hamiltonian(2.0).is_hermitian()
+        assert not GridOperator(potential=g.x + 1e-3j).is_hermitian()
+
+    def test_rejects_empty_and_mismatched_parts(self):
+        with pytest.raises(ValueError, match="kinetic or a potential"):
+            GridOperator()
+        with pytest.raises(ValueError, match="differ"):
+            GridOperator(np.ones(8), np.ones(9))
 
 
 def test_tensor_state_matches_kron():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from decoherence.core import KET_PLUS, Grid1D, Operator, SIGMA_Z
+from decoherence.core import KET_PLUS, Grid1D, GridOperator, Operator, SIGMA_Z
 from decoherence.lindblad import (
     ExtraTerm,
     IntegratorConfig,
@@ -18,6 +18,7 @@ from decoherence.lindblad import (
     PositivityLossError,
     evolve,
     record_steps,
+    split_march,
 )
 from decoherence.models import (
     CollisionalParams,
@@ -76,6 +77,42 @@ class TestKernel:
     def test_non_square_kernel_rejected(self):
         with pytest.raises(ValueError, match="mixed"):
             LindbladGenerator(None, kernel=np.zeros((2, 3)))
+
+
+class TestSplitMarch:
+    GRID = Grid1D(16, -2.0, 2.0)
+
+    def rho0(self):
+        return self.GRID.gaussian_packet(0.0, 0.6).density().matrix
+
+    @pytest.mark.parametrize("gen", [
+        LindbladGenerator(GRID.kinetic_hamiltonian(1.0),
+                          extra_terms=[ExtraTerm("comm_anticomm", GRID.position_operator(),
+                                                 GRID.momentum_operator(), -0.1j)]),
+        LindbladGenerator(GRID.kinetic_hamiltonian(1.0),
+                          [(0.3, Operator(np.diag(np.ones(15), k=1)))]),
+        LindbladGenerator(Operator(GRID.kinetic_hamiltonian(1.0).matrix),
+                          [(0.3, GRID.position_operator())]),
+    ], ids=["extra_term", "non_diagonal_lindblad", "dense_hamiltonian"])
+    def test_rejects_what_it_cannot_split(self, gen):
+        with pytest.raises(ValueError, match="split step"):
+            next(split_march(gen, self.rho0(), 0.01, 4, 1))
+
+    def test_potential_matches_rk4(self):
+        # H = p^2/2 + x^2/2 with a diagonal Lindblad operator: the potential
+        # is folded into the kernel as -i (V_i - V_j)
+        grid = Grid1D(48, -6.0, 6.0)
+        h = Operator(grid.kinetic_hamiltonian(1.0).matrix + np.diag(0.5 * grid.x ** 2))
+        h_grid = GridOperator(grid.k ** 2 / 2.0, 0.5 * grid.x ** 2)
+        x = grid.position_operator()
+        rho0 = grid.two_packet_cat(1.0, 0.5).density()
+        steps, mats = zip(*split_march(LindbladGenerator(h_grid, [(0.4, x)]),
+                                       rho0.matrix, 1e-3, 300, 100))
+        res = evolve(LindbladGenerator(h, [(0.4, x)]), rho0,
+                     IntegratorConfig(dt=1e-3, t_final=0.3, record_stride=100))
+        assert steps == (0, 100, 200, 300)
+        for got, want in zip(mats, res.states):
+            assert np.max(np.abs(got - want.matrix)) < 5e-6
 
 
 class TestRecordSchedule:

@@ -14,6 +14,7 @@ from decoherence.core import (
 )
 from decoherence.lindblad import IntegratorConfig, evolve, pure_dephasing_qubit
 from decoherence.measures import (
+    _momentum_marginal_error,
     pointer_commutator_residual,
     predictability_sieve,
     purity,
@@ -134,6 +135,19 @@ class TestWigner:
         rho = grid.gaussian_packet(0.0, 1.2, k0=2.5).density()
         with pytest.raises(ValueError, match="aliasing"):
             wigner(rho, grid)
+
+    def test_momentum_marginal_error_equals_the_dense_dft_reference(self):
+        # the reference is the dense product diag(F m F^dag) the FFT replaced
+        grid = Grid1D(64, -8.0, 8.0)
+        m = grid.gaussian_packet(1.0, 0.7, k0=1.5).density().matrix
+        field = wigner(m, grid)
+        f = np.fft.fft(np.eye(64), axis=0)
+        mom = np.real(np.diag(f @ m @ f.conj().T)) * grid.dx / (2.0 * np.pi)
+        order = np.argsort(grid.k)
+        want_interp = np.interp(grid.k[order], -field.p[::-1],
+                                field.momentum_marginal()[::-1])
+        want = np.max(np.abs(want_interp - mom[order])) / np.max(mom[order])
+        assert _momentum_marginal_error(field, m, grid) == pytest.approx(want, rel=1e-9)
 
     def test_csv_export_round_trips(self, tmp_path):
         grid = Grid1D(16, -2.0, 2.0)

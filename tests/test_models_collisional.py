@@ -165,6 +165,62 @@ class TestSplitStep:
         assert np.max(np.abs(mats[-1] - expected)) < 1e-12
 
 
+def reference_split_step(params, grid, psi0, dt, n_steps, record_stride=1,
+                         include_free_dynamics=True):
+    """The position-representation Strang step the fused step replaced: two
+    kinetic half steps U r U^dag per step, each by FFTs and conj-transposes."""
+    rho = np.outer(psi0.amplitudes, psi0.amplitudes.conj())
+    if params.regime == "long_wavelength":
+        kernel = -params.Lambda * np.subtract.outer(grid.x, grid.x) ** 2
+    else:
+        kernel = -params.Gamma_tot * (1.0 - np.eye(grid.n_points))
+    decay = np.exp(kernel * dt)
+    half_phase = np.exp(-1j * (grid.k ** 2) / (2.0 * params.mass) * (dt / 2.0))
+
+    def apply_u(r):
+        return np.fft.ifft(half_phase[:, None] * np.fft.fft(r, axis=0), axis=0)
+
+    def kinetic_half(r):
+        return apply_u(apply_u(r).conj().T).conj().T
+
+    records = [rho]
+    for k in range(1, n_steps + 1):
+        if include_free_dynamics:
+            rho = kinetic_half(rho)
+        rho = rho * decay
+        if include_free_dynamics:
+            rho = kinetic_half(rho)
+        if k % record_stride == 0 or k == n_steps:
+            records.append(rho)
+    return records
+
+
+class TestFusedSplitStep:
+    REGIMES = [CollisionalParams(Lambda=0.05, mass=50.0),
+               CollisionalParams(Gamma_tot=0.5, regime="short_wavelength", mass=50.0)]
+
+    @pytest.mark.parametrize("params", REGIMES, ids=lambda p: p.regime)
+    def test_equals_the_position_representation_step(self, params):
+        grid = Grid1D(64, -8.0, 8.0)
+        psi0 = grid.two_packet_cat(2.0, 0.5, k0=0.7)
+        args = (params, grid, psi0, 0.01, 103, 25)
+        _, mats = collisional_evolve_split_step(*args)
+        want = reference_split_step(*args)
+        assert len(mats) == len(want) == 6
+        for got, ref in zip(mats, want):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("params", REGIMES, ids=lambda p: p.regime)
+    def test_without_free_dynamics_is_bit_identical(self, params):
+        grid = Grid1D(32, -8.0, 8.0)
+        psi0 = grid.two_packet_cat(2.0, 0.5)
+        args = (params, grid, psi0, 0.01, 40, 7)
+        _, mats = collisional_evolve_split_step(*args, include_free_dynamics=False)
+        want = reference_split_step(*args, include_free_dynamics=False)
+        assert all(np.array_equal(got, ref) for got, ref in zip(mats, want))
+        assert len(mats) == len(want)
+
+
 class TestDecoherenceTime:
     def test_unit_values(self):
         assert collisional_decoherence_time(1.0, 1.0) == 1.0

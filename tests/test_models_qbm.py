@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from decoherence.core import FockSpace, Grid1D, Operator
 from decoherence.lindblad import ExtraTerm, LindbladGenerator, apply_generator
 from decoherence.models import (
+    CollisionalParams,
     QBMParams,
     caldeira_leggett_generator,
+    collisional_generator,
     qbm_coefficients,
     qbm_generator,
     qbm_moment_matrix,
@@ -103,6 +106,68 @@ class TestGeneratorStructure:
         cold = QBMParams(mass=1.0, Omega=1.0, gamma0=0.1, T=2.0, cutoff=1e3)
         with _pytest.warns(UserWarning, match="high-T"):
             caldeira_leggett_generator(cold, grid)
+
+
+def dense_twin(gen: LindbladGenerator) -> LindbladGenerator:
+    """The same generator with every operator replaced by its dense matrix."""
+    def dense(op):
+        return Operator(op.matrix)
+
+    h = None if gen.hamiltonian is None else dense(gen.hamiltonian)
+    return LindbladGenerator(
+        h, [(rate, dense(op)) for rate, op in gen.lindblad_ops],
+        extra_terms=[ExtraTerm(t.kind, dense(t.a), dense(t.b), t.coeff, t.label)
+                     for t in gen.extra_terms],
+        kernel=gen.kernel if gen.bare_kernel else None)
+
+
+def grid_generators(n):
+    grid = Grid1D(n, -6.0, 6.0)
+    params = QBMParams(mass=1.3, Omega=0.8, gamma0=0.1, T=5.0, cutoff=5.0)
+    c = qbm_coefficients(params)
+    gens = {f"qbm_anomalous_{a}_dissipation_{d}":
+            qbm_generator(params, grid, include_anomalous=a, include_dissipation=d,
+                          coefficients=c)
+            for a in (True, False) for d in (True, False)}
+    with pytest.warns(UserWarning, match="high-T"):
+        for d in (True, False):
+            gens[f"caldeira_leggett_dissipation_{d}"] = caldeira_leggett_generator(
+                params, grid, include_dissipation=d)
+    gens["collisional"] = collisional_generator(CollisionalParams(Lambda=0.3, mass=2.0), grid)
+    return gens
+
+
+class TestStructuredApply:
+    @pytest.mark.parametrize("n", [16, 96])
+    def test_equals_the_dense_generator(self, rng, n):
+        stack = np.stack([random_density(rng, n, rank=3).matrix for _ in range(3)])
+        stack[2] = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        for name, gen in grid_generators(n).items():
+            twin = dense_twin(gen)
+            for rho in (stack[0], stack[2], stack):
+                got, want = gen.apply(rho), twin.apply(rho)
+                err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+                assert err < 1e-12, (name, rho.shape, err)
+
+    def test_builds_without_dense_fourier_matrices(self, monkeypatch):
+        def no_dft(*args, **kwargs):
+            raise AssertionError("dense DFT matrix built")
+
+        monkeypatch.setattr(scipy.linalg, "dft", no_dft)
+        n = 1024
+        grid = Grid1D(n, -8.0, 8.0)
+        gens = [qbm_generator(QBMParams(1.0, 1.0, 0.1, 5.0, 5.0), grid),
+                caldeira_leggett_generator(HIGH_T, grid)]
+        for gen in gens:
+            # the elementwise kernel is the one n x n array; no operator
+            # holds a dense matrix, before or after an apply
+            ops = [gen.hamiltonian, gen.lindblad_ops[0][1]]
+            ops += [op for t in gen.extra_terms for op in (t.a, t.b)]
+            assert gen.kernel.shape == (n, n)
+            rho = np.zeros((n, n), dtype=complex)
+            rho[n // 2, n // 2] = 1.0
+            assert np.isfinite(gen.apply(rho)).all()
+            assert all(op._matrix is None for op in ops)
 
 
 class TestMomentFlow:

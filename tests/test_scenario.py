@@ -472,6 +472,45 @@ quantities = coherence_magnitude
         path.write_text(text)
         assert cli_main(["run", str(path), "--out", str(tmp_path)]) == 3
 
+    def test_oscillator_bath_positivity_loss_names_the_damping_term(self, tmp_path, capsys):
+        # the damping term gamma [x, {p, rho}] is not completely positive: a
+        # cat in the weak-coupling equation loses positivity within 10 steps
+        path = tmp_path / "qbm_cat.cfg"
+        path.write_text("""
+[scenario]
+name = qbm_cat
+model = qbm
+
+[params]
+mass = 1.0
+omega = 1.0
+gamma0 = 0.1
+temperature = 5.0
+cutoff = 10.0
+
+[initial_state]
+kind = two_packet_cat
+x0 = 2.0
+sigma = 0.5
+
+[integrator]
+dt = 0.0005
+t_final = 0.05
+record_stride = 10
+
+[outputs]
+quantities = purity
+
+[grid]
+n_points = 64
+x_min = -8.0
+x_max = 8.0
+""")
+        assert cli_main(["run", str(path), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "negative eigenvalue" in err and "t=0.005;" in err
+        assert "gamma [x, {p, rho}]" in err and "lindblad_repair_caldeira_leggett" in err
+
     @pytest.mark.parametrize("out", ["blocker", "blocker/results"],
                              ids=["regular_file", "under_regular_file"])
     def test_unwritable_output_directory_exits_2(self, tmp_path, capsys, out):

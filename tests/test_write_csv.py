@@ -52,6 +52,13 @@ class TestWriteCsv:
                   0.1 + 0.2]
         assert_same_table(tmp_path, ["v", "w"], [values, np.array(values[::-1])])
 
+    def test_repeated_values_keep_their_bit_patterns(self, tmp_path):
+        # 0.0 and -0.0 compare equal and so do no two nans; each distinct
+        # bit pattern must keep its own text
+        nan2 = np.frombuffer(np.uint64(0x7FF8000000000001).tobytes(), dtype=np.float64)[0]
+        values = np.array([0.0, -0.0, 0.0, float("nan"), nan2, 1.5, -0.0, 1.5] * 700)
+        assert_same_table(tmp_path, ["v", "id"], [values, np.arange(values.size) % 3])
+
     def test_int_column(self, tmp_path):
         assert_same_table(tmp_path, ["id", "v"], [np.arange(5), np.linspace(0.0, 1.0, 5)])
 
