@@ -253,12 +253,7 @@ def partial_trace(rho: DensityMatrix, dims: tuple[int, int], keep: int) -> Densi
         raise ValueError(f"dims {dims} incompatible with density matrix of dim {rho.dim}")
     if keep not in (0, 1):
         raise ValueError("keep must be 0 (subsystem A) or 1 (subsystem B)")
-    r = rho.matrix.reshape(dA, dB, dA, dB)
-    if keep == 0:
-        out = np.trace(r, axis1=1, axis2=3)
-    else:
-        out = np.trace(r, axis1=0, axis2=2)
-    return DensityMatrix(out)
+    return DensityMatrix(partial_trace_matrix(rho.matrix, dims, keep))
 
 
 def partial_trace_matrix(m: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray:

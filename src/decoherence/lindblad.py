@@ -56,11 +56,10 @@ class ExtraTerm:
     coeff: complex
     label: str = ""
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        return self._apply(rho, {})
-
-    def _apply(self, rho: np.ndarray, shared: dict) -> np.ndarray:
+    def apply(self, rho: np.ndarray, shared: dict | None = None) -> np.ndarray:
         """The term on rho; `shared` keeps B rho and rho B for other terms."""
+        if shared is None:
+            shared = {}
         if self.kind not in ("double_comm", "comm_anticomm", "sandwich"):
             raise ValueError(f"unknown term kind {self.kind}")
         if self.kind == "sandwich":
@@ -80,26 +79,34 @@ def _product(op: Operator, side: str, rho: np.ndarray, shared: dict) -> np.ndarr
     return shared[key]
 
 
-def _diagonal(op: Operator) -> np.ndarray | None:
-    """The diagonal of an operator that is diagonal in position, else None."""
+def _split_diagonal(op: Operator) -> tuple[np.ndarray | None, Operator | None]:
+    """(diagonal in position, rest) of an operator, a missing part being None.
+
+    A GridOperator splits into V(x) and E(k); a dense operator is either
+    diagonal or all rest.
+    """
     if isinstance(op, GridOperator):
-        return op.potential if op.kinetic is None else None
+        return op.potential, None if op.kinetic is None else GridOperator(kinetic=op.kinetic)
     m = op.matrix
     d = np.diag(m)
     if np.max(np.abs(m - np.diag(d))) == 0.0:
-        return d
-    return None
+        return d, None
+    return None, op
 
 
 class LindbladGenerator:
     """Hamiltonian plus weighted Lindblad operators plus optional extra terms.
 
-    Diagonal Lindblad operators act elementwise.  They are folded into one
-    (dim, dim) kernel K_ij = sum kappa (d_i d_j^* - (|d_i|^2 + |d_j|^2) / 2),
-    and their dissipator is K * rho.  A model whose kernel has no small
-    operator form passes it directly as `kernel`; it adds to the folded one.
-    The potential V(x) of a GridOperator Hamiltonian E(k) + V(x) folds in
-    too, as -i (V_i - V_j^*); its kinetic part acts by FFT.
+    One rule covers diagonal structure: whatever part of an operator is
+    diagonal in position acts elementwise, through one (dim, dim) kernel K.
+    A diagonal Lindblad operator d folds in as
+    kappa (d_i d_j^* - (|d_i|^2 + |d_j|^2) / 2), and the diagonal part h of
+    the Hamiltonian, dense or a GridOperator's V(x), as -i (h_i - h_j^*),
+    which keeps H rho - rho H^dag for a non-Hermitian h.  The rest of H,
+    such as a GridOperator's E(k), acts as an operator, and a Lindblad
+    operator that is not diagonal keeps its matmuls.  A model whose kernel
+    has no small operator form passes it directly as `kernel`; it adds to
+    the folded one.
     """
 
     def __init__(self, hamiltonian: Operator | None,
@@ -132,22 +139,19 @@ class LindbladGenerator:
         terms = [] if kernel is None else [kernel]
         self._dense = []  # (rate, L, L^dag L) of the non-diagonal operators
         for rate, op in self.lindblad_ops:
-            d = _diagonal(op)
-            if d is None:
-                self._dense.append((rate, op.matrix, op.matrix.conj().T @ op.matrix))
-            else:
+            d, rest = _split_diagonal(op)
+            if rest is None:
                 dd = np.real(d * d.conj())
                 terms.append(rate * (np.outer(d, d.conj()) - 0.5 * np.add.outer(dd, dd)))
-        # the part of H acting as an operator; a grid H's potential V(x)
-        # acts elementwise, as the kernel -i (V_i - V_j^*)
-        self._h_action = hamiltonian
-        if isinstance(hamiltonian, GridOperator) and hamiltonian.potential is not None:
-            v = hamiltonian.potential
-            terms.append(-1j * np.subtract.outer(v, v.conj()))
-            self._h_action = (None if hamiltonian.kinetic is None
-                              else GridOperator(kinetic=hamiltonian.kinetic))
+            else:
+                self._dense.append((rate, op.matrix, op.matrix.conj().T @ op.matrix))
+        # the part of H acting as an operator; its diagonal part is a kernel
+        h, self._h_action = ((None, None) if hamiltonian is None
+                             else _split_diagonal(hamiltonian))
+        if h is not None:
+            terms.append(-1j * np.subtract.outer(h, h.conj()))
         self.kernel = sum(terms[1:], terms[0]) if terms else None
-        self._h_is_hermitian = hamiltonian is None or hamiltonian.is_hermitian(1e-12)
+        self._h_is_hermitian = self._h_action is None or self._h_action.is_hermitian(1e-12)
 
     @classmethod
     def from_first_standard_form(cls, hamiltonian: Operator | None,
@@ -198,7 +202,7 @@ class LindbladGenerator:
         for rate, l, ldl in self._dense:
             out += rate * (l @ rho @ l.conj().T - 0.5 * (ldl @ rho + rho @ ldl))
         for term in self.extra_terms:
-            out += term._apply(rho, shared)
+            out += term.apply(rho, shared)
         return out
 
     def superoperator(self) -> np.ndarray:
@@ -258,16 +262,15 @@ def split_march(gen: LindbladGenerator, rho0: np.ndarray, dt: float, n_steps: in
     FFT to x, the factor, one 2-D FFT back and the full phase.  Yields
     (k, position-representation state) at every recorded step, as _march
     does, step 0 being rho0.  A generator with extra terms, non-diagonal
-    Lindblad operators or a Hamiltonian that is not a GridOperator raises
-    ValueError.
+    Lindblad operators or a Hamiltonian whose non-diagonal part is not a
+    GridOperator's E(k) raises ValueError.
     """
-    h = gen.hamiltonian
+    h = gen._h_action  # E(k) or None: the kernel holds the diagonal of H
     if gen.extra_terms or gen._dense or not (h is None or isinstance(h, GridOperator)):
         raise ValueError("the split step needs H = E(k) + V(x) and an elementwise "
                          "kernel, without extra terms or non-diagonal Lindblad operators")
-    # the generator's kernel holds V(x) already
     decay = None if gen.kernel is None else np.exp(gen.kernel * dt)
-    if h is None or h.kinetic is None:
+    if h is None:
         yield from _march(rho0, lambda _, r: r * decay, n_steps, record_stride)
         return
 

@@ -158,7 +158,7 @@ MODEL_SCHEMAS: dict[str, dict] = {
         "description": "superposition of coherent cavity fields (closed forms)",
         "reference": "dispersive atom-field cat states, overlap and lifetime",
         "needs_grid": False,
-        "states": ("cat", "coherent"),
+        "states": ("cat",),
         "params": {
             "damping_time": _positive("cavity energy damping time T_r"),
         },
@@ -195,9 +195,6 @@ STATE_SCHEMAS: dict[str, dict[str, ParamSpec]] = {
     "qubit_bloch": {
         "theta": ParamSpec("float", required=True),
         "phi": ParamSpec("float", default=0.0),
-    },
-    "coherent": {
-        "alpha": ParamSpec("complex", required=True),
     },
     "cat": {
         "alpha": ParamSpec("complex", required=True),
@@ -342,6 +339,9 @@ def parse_config(text: str) -> ScenarioConfig:
             f"(use one of {mschema['states']})")
     state = {"kind": kind,
              **_validate_section("initial_state", state_raw, STATE_SCHEMAS[kind])}
+    if kind == "cat" and abs(state["alpha"]) ** 2 * math.sin(state["chi"]) ** 2 == 0.0:
+        raise ConfigError("cat state has zero catness (alpha = 0 or sin chi = 0): its "
+                          "components coincide and no decoherence time is defined")
 
     integ = _validate_section("integrator", dict(cp["integrator"]), INTEGRATOR_SCHEMA)
     if integ["t_final"] < integ["dt"]:
@@ -760,15 +760,9 @@ def _spin_spin_mutual_information(params: SpinSpinParams, psi0: StateVector,
 def _run_cavity(cfg: ScenarioConfig, summary: dict) -> dict:
     p = cfg.params
     st = cfg.initial_state
-    if st["kind"] == "cat":
-        nbar = abs(st["alpha"]) ** 2
-        chi = st["chi"]
-    else:
-        nbar = abs(st["alpha"]) ** 2
-        chi = 0.0
-    params = CavityCatParams(nbar=nbar, chi=chi, Tr=p["damping_time"])
+    params = CavityCatParams(nbar=abs(st["alpha"]) ** 2, chi=st["chi"], Tr=p["damping_time"])
     ov = cat_overlap(params)
-    t_d = cat_decoherence_time(params)  # raises for chi = 0 (no cat)
+    t_d = cat_decoherence_time(params)
     times = IntegratorConfig(**cfg.integrator).record_times()
     coh = np.exp(-times / t_d)
     summary["model_info"].update({

@@ -15,17 +15,14 @@ solution at the usual 1/sqrt(N) Monte Carlo rate.
 Reproducibility: trajectory j draws its increments from an independent
 counter-based stream (Philox keyed by the ensemble seed, jumped j times),
 with Gaussians produced by the inverse CDF applied to that stream's
-uniforms.  Results are a deterministic function of (seed, config,
-generator) with a fixed summation order, regardless of how the per-chunk
-work is scheduled (thread fan-out is controlled by the
-DECOHERENCE_NUM_THREADS environment variable).
+uniforms.  All trajectories step together as one (n, dim, dim) batch, so
+results are a deterministic function of (seed, config, generator) with a
+fixed summation order.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,44 +105,31 @@ def unravel(gen: LindbladGenerator, rho0: DensityMatrix,
     n_steps = cfg.n_steps
     steps = record_steps(n_steps, cfg.record_stride)
     noise_ops = [(math.sqrt(rate), op.matrix) for rate, op in gen.lindblad_ops]
-    dim = gen.dim
+    n, dim = cfg.n_trajectories, gen.dim
+    batch0 = np.broadcast_to(rho0.matrix, (n, dim, dim)).copy()
+    states = np.empty((n, len(steps), dim, dim), dtype=complex)
+    dw = np.stack([_gaussian_increments(cfg.seed, j, n_steps, len(noise_ops), cfg.dt)
+                   for j in range(n)])  # (n, n_steps, n_ops)
 
-    def run_chunk(idx_lo: int, idx_hi: int) -> np.ndarray:
-        n_traj = idx_hi - idx_lo
-        batch0 = np.broadcast_to(rho0.matrix, (n_traj, dim, dim)).copy()
-        out = np.empty((n_traj, len(steps), dim, dim), dtype=complex)
-        dw = np.stack([_gaussian_increments(cfg.seed, j, n_steps, len(noise_ops), cfg.dt)
-                       for j in range(idx_lo, idx_hi)])  # (n_traj, n_steps, n_ops)
+    def euler_maruyama(k: int, rho: np.ndarray) -> np.ndarray:
+        new = rho + cfg.dt * gen.apply(rho)
+        for mu, (sr, l) in enumerate(noise_ops):
+            w = l @ rho + rho @ l.conj().T
+            tr = np.trace(w, axis1=1, axis2=2)
+            w = w - tr[:, None, None] * rho
+            new = new + sr * dw[:, k, mu][:, None, None] * w
+        return new
 
-        def euler_maruyama(k: int, rho: np.ndarray) -> np.ndarray:
-            new = rho + cfg.dt * gen.apply(rho)
-            for mu, (sr, l) in enumerate(noise_ops):
-                w = l @ rho + rho @ l.conj().T
-                tr = np.trace(w, axis1=1, axis2=2)
-                w = w - tr[:, None, None] * rho
-                new = new + sr * dw[:, k, mu][:, None, None] * w
-            return new
-
-        for pos, (k, rho) in enumerate(_march(batch0, euler_maruyama, n_steps,
-                                              cfg.record_stride)):
-            tr_err = np.max(np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0))
-            # the update is traceless by construction, so a drifting or
-            # non-finite trace means the state itself blew up
-            if not np.isfinite(tr_err) or tr_err > TRACE_DRIFT_LIMIT \
-                    or not np.all(np.isfinite(rho)):
-                raise StepInstabilityError(
-                    f"trace drifted by {tr_err:.2e} at step {k}; reduce dt")
-            out[:, pos] = rho
-        return out
-
-    n_threads = max(1, int(os.environ.get("DECOHERENCE_NUM_THREADS", "1")))
-    chunks = _chunk_ranges(cfg.n_trajectories, n_threads)
-    if n_threads == 1 or len(chunks) == 1:
-        parts = [run_chunk(lo, hi) for lo, hi in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            parts = list(pool.map(lambda c: run_chunk(*c), chunks))
-    states = np.concatenate(parts, axis=0)
+    for pos, (k, rho) in enumerate(_march(batch0, euler_maruyama, n_steps,
+                                          cfg.record_stride)):
+        tr_err = np.max(np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0))
+        # the update is traceless by construction, so a drifting or
+        # non-finite trace means the state itself blew up
+        if not np.isfinite(tr_err) or tr_err > TRACE_DRIFT_LIMIT \
+                or not np.all(np.isfinite(rho)):
+            raise StepInstabilityError(
+                f"trace drifted by {tr_err:.2e} at step {k}; reduce dt")
+        states[:, pos] = rho
 
     # fixed reduction order: ascending trajectory index.  Euler-Maruyama
     # conditioned states fluctuate O(sqrt(dt)) around the positive cone, so
@@ -156,11 +140,6 @@ def unravel(gen: LindbladGenerator, rho0: DensityMatrix,
                      for m in mean_raw]
     times = np.array(steps, dtype=float) * cfg.dt
     return TrajectoryEnsemble(times, states, ensemble_mean)
-
-
-def _chunk_ranges(n: int, n_chunks: int) -> list[tuple[int, int]]:
-    size = max(1, math.ceil(n / n_chunks))
-    return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
 def ensemble_statistics(ens: TrajectoryEnsemble, obs: Operator) -> dict:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from decoherence.core import KET_PLUS, Grid1D, GridOperator, Operator, SIGMA_Z
@@ -79,6 +80,46 @@ class TestKernel:
             LindbladGenerator(None, kernel=np.zeros((2, 3)))
 
 
+def dissipator(ops, rho):
+    """sum kappa (L rho L^dag - {L^dag L, rho} / 2), written out."""
+    out = np.zeros_like(rho)
+    for rate, l in ops:
+        l = l.matrix
+        ldl = l.conj().T @ l
+        out += rate * (l @ rho @ l.conj().T - 0.5 * (ldl @ rho + rho @ ldl))
+    return out
+
+
+class TestDiagonalHamiltonian:
+    @pytest.mark.parametrize("h", [
+        np.zeros(3),
+        np.array([0.3, -1.2, 2.0]),
+        np.array([0.3 - 0.5j, -1.2 + 0.1j, 2.0]),
+    ], ids=["zero", "real", "non_hermitian"])
+    def test_dense_diagonal_h_folds_into_the_kernel(self, rng, h):
+        ops = [(0.7, Operator(np.diag(rng.normal(size=3) + 1j * rng.normal(size=3)))),
+               (0.4, Operator(np.diag(np.ones(2), k=1)))]
+        ham = Operator(np.diag(h))
+        gen = LindbladGenerator(ham, ops)
+        assert gen._h_action is None and gen.hamiltonian is ham
+        rho = random_density(rng, 3).matrix
+        stack = np.stack([random_density(rng, 3).matrix for _ in range(4)])
+        hm = ham.matrix
+        for m in (rho, stack):
+            want = -1j * (hm @ m - m @ hm.conj().T) + dissipator(ops, m)
+            assert_allclose(gen.apply(m), want, rtol=0, atol=1e-14)
+
+    def test_complex_potential_keeps_h_rho_minus_rho_h_dag(self, rng):
+        grid = Grid1D(16, -2.0, 2.0)
+        ham = GridOperator(grid.k ** 2 / 2.0, 0.5 * grid.x ** 2 - 0.2j * grid.x ** 2)
+        gen = LindbladGenerator(ham)
+        assert gen._h_action.potential is None and gen._h_is_hermitian
+        rho = random_density(rng, 16).matrix
+        hm = ham.matrix
+        assert_allclose(gen.apply(rho), -1j * (hm @ rho - rho @ hm.conj().T),
+                        rtol=0, atol=1e-12)
+
+
 class TestSplitMarch:
     GRID = Grid1D(16, -2.0, 2.0)
 
@@ -97,6 +138,18 @@ class TestSplitMarch:
     def test_rejects_what_it_cannot_split(self, gen):
         with pytest.raises(ValueError, match="split step"):
             next(split_march(gen, self.rho0(), 0.01, 4, 1))
+
+    def test_dense_diagonal_hamiltonian_is_split_exactly(self, rng):
+        # a dense diagonal H folds into the kernel, so the step is exp(K dt)
+        ham = Operator(np.diag([0.3, -1.2, 2.0, 0.5]))
+        gen = LindbladGenerator(ham, [(0.4, Operator(np.diag([1.0, 0.0, -1.0, 2.0])))])
+        rho0 = random_density(rng, 4).matrix
+        steps, mats = zip(*split_march(gen, rho0, 0.01, 50, 10))
+        s = gen.superoperator()
+        assert steps == (0, 10, 20, 30, 40, 50)
+        for k, got in zip(steps, mats):
+            want = (scipy.linalg.expm(s * k * 0.01) @ rho0.reshape(-1)).reshape(4, 4)
+            assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_potential_matches_rk4(self):
         # H = p^2/2 + x^2/2 with a diagonal Lindblad operator: the potential

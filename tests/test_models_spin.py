@@ -64,6 +64,12 @@ class TestPureDephasing:
         out = apply_generator(gen, random_density(rng, 2))
         assert abs(out[0, 0]) < 1e-12 and abs(out[1, 1]) < 1e-12
 
+    def test_zero_hamiltonian_folds_into_the_kernel(self):
+        # at Delta0 = 0 the effective Hamiltonian is zero: no commutator is left
+        gen = spin_boson_born_markov(make_params())
+        assert gen._h_action is None
+        assert not np.any(gen.hamiltonian.matrix) and not np.any(gen.kernel)
+
     def test_tunneling_required_to_vanish(self):
         with pytest.raises(ValueError):
             spin_boson_pure_dephasing(make_params(delta0=0.5))

@@ -77,7 +77,7 @@ class TestParsing:
 
     def test_state_kind_must_match_model(self):
         bad = MINIMAL_QUBIT.replace("kind = qubit_bloch\ntheta = 1.5707963267948966",
-                                    "kind = coherent\nalpha = 2.0")
+                                    "kind = cat\nalpha = 2.0\nchi = 0.3")
         with pytest.raises(ConfigError, match="unsupported"):
             parse_config(bad)
 
@@ -446,9 +446,11 @@ class TestCLI:
         payload = json.loads(capsys.readouterr().out)
         assert payload["scenario"] == "dephasing_qubit"
 
-    def test_numerical_failure_exits_3(self, tmp_path):
-        # a coherent (non-cat) state has zero catness: no decoherence time
-        text = """
+    @pytest.mark.parametrize("state", ["alpha = 2.0\nchi = 0.0", "alpha = 0.0\nchi = 0.3"],
+                             ids=["sin_chi_zero", "alpha_zero"])
+    def test_zero_catness_exits_2(self, tmp_path, capsys, state):
+        # a cat whose components coincide has no decoherence time
+        text = f"""
 [scenario]
 name = nocat
 model = cavity_cat
@@ -458,8 +460,8 @@ seed = 0
 damping_time = 0.13
 
 [initial_state]
-kind = coherent
-alpha = 2.0
+kind = cat
+{state}
 
 [integrator]
 dt = 0.001
@@ -470,7 +472,8 @@ quantities = coherence_magnitude
 """
         path = tmp_path / "nocat.cfg"
         path.write_text(text)
-        assert cli_main(["run", str(path), "--out", str(tmp_path)]) == 3
+        assert cli_main(["run", str(path), "--out", str(tmp_path)]) == 2
+        assert "zero catness" in capsys.readouterr().err
 
     def test_oscillator_bath_positivity_loss_names_the_damping_term(self, tmp_path, capsys):
         # the damping term gamma [x, {p, rho}] is not completely positive: a
