@@ -42,7 +42,6 @@ from .lindblad import (
     born_markov_generator,
     evolve,
     lindblad_repair_caldeira_leggett,
-    noise_dissipation_kernels,
     ohmic_spectral_density,
     pure_dephasing_qubit,
 )

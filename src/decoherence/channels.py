@@ -43,8 +43,7 @@ class KrausChannel:
     """
 
     def __init__(self, operators: Sequence[Operator],
-                 labels: Sequence[tuple[int, int]] | None = None,
-                 tol: float = COMPLETENESS_TOL):
+                 labels: Sequence[tuple[int, int]] | None = None):
         if len(operators) == 0:
             raise ValueError("a channel needs at least one Kraus operator")
         dim = operators[0].dim
@@ -55,7 +54,7 @@ class KrausChannel:
         self.labels = tuple(labels) if labels is not None else None
         self.dim = dim
         deficit = self.completeness_deficit()
-        if deficit > tol:
+        if deficit > COMPLETENESS_TOL:
             raise CompletenessError(deficit)
 
     def completeness_deficit(self) -> float:
@@ -85,15 +84,14 @@ def apply_channel(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
 
 
 def kraus_from_unitary(U: Operator, rho_E: DensityMatrix,
-                       dims: tuple[int, int],
-                       prob_floor: float = 1e-12) -> KrausChannel:
+                       dims: tuple[int, int]) -> KrausChannel:
     """Kraus family of the reduced system dynamics under a joint unitary.
 
     For a system-environment unitary U on dims = (dS, dE) and an environment
     state with spectral decomposition rho_E = sum_i p_i |E_i><E_i|, the
     operators are W_{ij} = sqrt(p_i) <E_j| U |E_i>, so that applying the
     channel equals evolving rho_S (x) rho_E and tracing out the environment.
-    Environment eigenstates with p_i below prob_floor are dropped.
+    Environment eigenstates with p_i at or below 1e-12 are dropped.
     """
     dS, dE = dims
     if U.dim != dS * dE:
@@ -107,7 +105,7 @@ def kraus_from_unitary(U: Operator, rho_E: DensityMatrix,
     ops: list[Operator] = []
     labels: list[tuple[int, int]] = []
     for i in range(dE):
-        if p[i] <= prob_floor:
+        if p[i] <= 1e-12:
             continue
         e_i = vecs[:, i]
         for j in range(dE):
@@ -125,24 +123,18 @@ def choi_matrix(superop: np.ndarray) -> np.ndarray:
     dim = int(round(np.sqrt(d2)))
     if dim * dim != d2 or superop.shape != (d2, d2):
         raise ValueError("superoperator must be dim^2 x dim^2")
-    c = np.zeros((d2, d2), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            eij = np.zeros((dim, dim), dtype=complex)
-            eij[i, j] = 1.0
-            out = (superop @ eij.reshape(-1)).reshape(dim, dim)
-            c[i * dim:(i + 1) * dim, j * dim:(j + 1) * dim] = out
-    return c / dim
+    # block (i, j) of C is V(|i><j|), column i dim + j of the superoperator
+    c = np.asarray(superop, dtype=complex).reshape(dim, dim, dim, dim).transpose(2, 0, 3, 1)
+    return c.reshape(d2, d2) / dim
 
 
-def check_complete_positivity(superop: np.ndarray,
-                              tol: float = CP_EIGENVALUE_TOL) -> dict:
+def check_complete_positivity(superop: np.ndarray) -> dict:
     """Certify complete positivity from the minimum Choi eigenvalue."""
     c = choi_matrix(superop)
     c = 0.5 * (c + c.conj().T)
     w = np.linalg.eigvalsh(c)
     wmin = float(w[0])
-    return {"cp": wmin >= -tol, "min_choi_eigenvalue": wmin}
+    return {"cp": wmin >= -CP_EIGENVALUE_TOL, "min_choi_eigenvalue": wmin}
 
 
 def check_convex_linearity(apply_map: Callable[[np.ndarray], np.ndarray],
@@ -171,8 +163,7 @@ class MeasurementOperatorSet:
     sum M^dag M = I, the same order convention used for Kraus families.
     """
 
-    def __init__(self, grouped: dict[int, list[Operator]], dim: int,
-                 tol: float = COMPLETENESS_TOL):
+    def __init__(self, grouped: dict[int, list[Operator]], dim: int):
         self.grouped = {k: tuple(v) for k, v in grouped.items()}
         self.dim = dim
         s = np.zeros((dim, dim), dtype=complex)
@@ -180,13 +171,12 @@ class MeasurementOperatorSet:
             for m in ops:
                 s = s + m.matrix.conj().T @ m.matrix
         deficit = float(np.max(np.abs(s - np.eye(dim))))
-        if deficit > tol:
+        if deficit > COMPLETENESS_TOL:
             raise CompletenessError(deficit)
 
 
 def indirect_measurement(U: Operator, rho_S: DensityMatrix, rho_E: DensityMatrix,
-                         projectors: Sequence[Operator],
-                         tol: float = 1e-9) -> list[MeasurementOutcome]:
+                         projectors: Sequence[Operator]) -> list[MeasurementOutcome]:
     """Probe the system by evolving with the environment and reading it out.
 
     Evolves rho_S (x) rho_E under U, then projectively measures the
@@ -202,10 +192,10 @@ def indirect_measurement(U: Operator, rho_S: DensityMatrix, rho_E: DensityMatrix
     for p in projectors:
         if p.dim != dE:
             raise ValueError("projector dimension mismatch")
-        if np.max(np.abs(p.matrix @ p.matrix - p.matrix)) > tol:
+        if np.max(np.abs(p.matrix @ p.matrix - p.matrix)) > COMPLETENESS_TOL:
             raise ValueError("projectors must be idempotent")
         psum = psum + p.matrix
-    if np.max(np.abs(psum - np.eye(dE))) > tol:
+    if np.max(np.abs(psum - np.eye(dE))) > COMPLETENESS_TOL:
         raise ValueError("projector set is not complete on the environment")
 
     joint = U.matrix @ np.kron(rho_S.matrix, rho_E.matrix) @ U.matrix.conj().T
@@ -214,7 +204,7 @@ def indirect_measurement(U: Operator, rho_S: DensityMatrix, rho_E: DensityMatrix
         proj = np.kron(np.eye(dS), p.matrix)
         selected = proj @ joint @ proj
         prob = float(np.real(np.trace(selected)))
-        if prob < tol:
+        if prob < COMPLETENESS_TOL:
             continue
         cond = partial_trace_matrix(selected, (dS, dE), keep=0) / prob
         outcomes.append(MeasurementOutcome(alpha, prob, DensityMatrix(cond)))

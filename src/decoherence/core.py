@@ -121,7 +121,7 @@ class StateVector:
 
     __slots__ = ("amplitudes", "dim")
 
-    def __init__(self, amplitudes, normalize: bool = False, tol: float = 1e-8):
+    def __init__(self, amplitudes, normalize: bool = False):
         a = np.array(amplitudes, dtype=complex).reshape(-1)
         if a.size < 1:
             raise ValueError("state vector must have dimension >= 1")
@@ -130,8 +130,8 @@ class StateVector:
             if n == 0:
                 raise ValueError("cannot normalize the zero vector")
             a = a / n
-        elif abs(n - 1.0) > tol:
-            raise ValueError(f"state vector norm {n} deviates from 1 beyond tol={tol}")
+        elif abs(n - 1.0) > 1e-8:
+            raise ValueError(f"state vector norm {n} deviates from 1 beyond 1e-8")
         a.setflags(write=False)
         self.amplitudes = a
         self.dim = a.size
@@ -263,24 +263,24 @@ def partial_trace_matrix(m: np.ndarray, dims: tuple[int, int], keep: int) -> np.
     return np.trace(r, axis1=1, axis2=3) if keep == 0 else np.trace(r, axis1=0, axis2=2)
 
 
-def expectation(rho: DensityMatrix, obs: Operator, tol: float = 1e-8) -> float:
+def expectation(rho: DensityMatrix, obs: Operator) -> float:
     """Tr(rho O) for a Hermitian observable."""
-    if not obs.is_hermitian(tol=max(tol, DEFAULT_TOL)):
+    if not obs.is_hermitian(1e-8):
         raise ValueError("observable must be Hermitian")
     if obs.dim != rho.dim:
         raise ValueError("dimension mismatch between state and observable")
     val = complex(np.trace(rho.matrix @ obs.matrix))
-    if abs(val.imag) > tol * max(1.0, abs(val.real)):
+    if abs(val.imag) > 1e-8 * max(1.0, abs(val.real)):
         raise ValueError(f"expectation value has imaginary part {val.imag}")
     return float(val.real)
 
 
-def eigh(op: Operator, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+def eigh(op: Operator) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian operator.
 
     Returns (eigenvalues ascending, eigenvectors as columns).
     """
-    if not op.is_hermitian(tol):
+    if not op.is_hermitian():
         raise ValueError("eigh requires a Hermitian operator")
     w, v = np.linalg.eigh(op.matrix)
     return w, v
@@ -318,11 +318,10 @@ def default_fock_cutoff(alpha: complex) -> int:
     return int(math.ceil(a * a + 6.0 * a + 10.0))
 
 
-def coherent_state(alpha: complex, space: FockSpace | None = None,
-                   truncation_tol: float = 1e-8) -> StateVector:
+def coherent_state(alpha: complex, space: FockSpace | None = None) -> StateVector:
     """Coherent state with amplitudes e^{-|a|^2/2} a^n / sqrt(n!), renormalized.
 
-    Raises if the truncated norm falls short of 1 by more than truncation_tol.
+    Raises if the truncated norm falls short of 1 by more than 1e-8.
     """
     if space is None:
         space = FockSpace(default_fock_cutoff(alpha))
@@ -333,7 +332,7 @@ def coherent_state(alpha: complex, space: FockSpace | None = None,
         amps[k] = term
         term = term * alpha / math.sqrt(k + 1)
     norm_sq = float(np.sum(np.abs(amps) ** 2))
-    if norm_sq < 1.0 - truncation_tol:
+    if norm_sq < 1.0 - 1e-8:
         raise ValueError(
             f"Fock truncation n_max={space.n_max} loses {1.0 - norm_sq:.3e} of the norm "
             f"for |alpha|={abs(alpha):.3f}; increase n_max")

@@ -156,11 +156,11 @@ class LindbladGenerator:
     @classmethod
     def from_first_standard_form(cls, hamiltonian: Operator | None,
                                  gamma: np.ndarray, basis: Sequence[Operator],
-                                 tol: float = 1e-8) -> "LindbladGenerator":
+                                 ) -> "LindbladGenerator":
         """Diagonalize a first-standard-form coefficient matrix.
 
-        gamma must be Hermitian with eigenvalues >= -tol; eigenvalues in
-        [-tol, 0) are clamped to zero.  The resulting Lindblad operators are
+        gamma must be Hermitian with eigenvalues >= -1e-8; eigenvalues in
+        [-1e-8, 0) are clamped to zero.  The resulting Lindblad operators are
         the eigenvector-weighted combinations of the basis operators.
         """
         g = np.asarray(gamma, dtype=complex)
@@ -170,7 +170,7 @@ class LindbladGenerator:
         if np.max(np.abs(g - g.conj().T)) > 1e-10:
             raise ValueError("coefficient matrix must be Hermitian")
         w, v = np.linalg.eigh(g)
-        if w[0] < -tol:
+        if w[0] < -1e-8:
             raise ValueError(
                 f"coefficient matrix has negative eigenvalue {w[0]}; "
                 "not a valid semigroup generator")
@@ -365,6 +365,8 @@ def evolve(gen: LindbladGenerator, rho0: DensityMatrix,
     eigendecomposition for positivity and the clamp of round-off negatives.
     Violations raise PositivityLossError.
     """
+    if rho0.dim != gen.dim:
+        raise ValueError("state dimension does not match the generator")
     states = []
     hint = _positivity_hint(gen)
     for k, rho in _march(np.array(rho0.matrix),
@@ -508,7 +510,7 @@ class CorrelationKernelSpec:
         return val
 
     def lag_integral(self, kernel: Literal["nu", "eta"], trig: Literal["cos", "sin"],
-                     omega: float, rtol: float = 1e-8) -> tuple[float, float]:
+                     omega: float) -> tuple[float, float]:
         """int_0^tc kernel(tau) trig(omega tau) dtau and its error estimate.
 
         The tau integral is done in closed form, which leaves one integral
@@ -526,10 +528,11 @@ class CorrelationKernelSpec:
         cos(w tc), which go to Fourier-weighted quadrature.  A sum that is
         not finite, whose error estimate exceeds 1% of it, or whose tail fails
         to converge, grows, or falls no faster than 1/w, raises QuadratureError.
+        Every part is integrated to a relative tolerance of 1e-8.
         """
         if kernel not in ("nu", "eta") or trig not in ("cos", "sin"):
             raise ValueError(f"unknown lag integral {kernel} {trig}")
-        tc = self.cutoff_time
+        tc, rtol = self.cutoff_time, 1e-8
         # nu is a cosine transform of its weight, eta a sine transform
         kind = ("c" if kernel == "nu" else "s") + trig[0]
         amp = self.noise_weight if kernel == "nu" else self.J
@@ -571,12 +574,6 @@ class CorrelationKernelSpec:
         return val, err
 
 
-def noise_dissipation_kernels(J: Callable[[float], float], T: float,
-                              cutoff_time: float) -> CorrelationKernelSpec:
-    """The kernels nu(tau) and eta(tau) of a spectral density at temperature T."""
-    return CorrelationKernelSpec(J=J, T=T, cutoff_time=cutoff_time)
-
-
 @dataclass(frozen=True)
 class BornMarkovCoefficients:
     """Weak-coupling coefficients of the oscillator master equation.
@@ -594,8 +591,7 @@ class BornMarkovCoefficients:
 
 
 def born_markov_coefficients(kernels: CorrelationKernelSpec, omega: float,
-                             mass: float = 1.0,
-                             rtol: float = 1e-8) -> BornMarkovCoefficients:
+                             mass: float = 1.0) -> BornMarkovCoefficients:
     """Integrate the kernels against the system frequency.
 
     omega_shift_sq = -(2/M)   int_0^tc eta(tau) cos(omega tau) dtau
@@ -612,7 +608,7 @@ def born_markov_coefficients(kernels: CorrelationKernelSpec, omega: float,
     ohmic Lorentz-Drude density it is gamma0 Lambda^2 / (Lambda^2 + w^2).
     """
     eta_cos, eta_sin, nu_cos, nu_sin = (
-        kernels.lag_integral(kernel, trig, omega, rtol)
+        kernels.lag_integral(kernel, trig, omega)
         for kernel, trig in (("eta", "cos"), ("eta", "sin"), ("nu", "cos"), ("nu", "sin")))
     return BornMarkovCoefficients(
         omega_shift_sq=-2.0 / mass * eta_cos[0],
@@ -722,8 +718,7 @@ def lindblad_repair_caldeira_leggett(mass: float, gamma0: float, T: float,
     return LindbladGenerator(Operator(h), [(gamma0, L)])
 
 
-def pure_dephasing_qubit(D: float, hamiltonian: Operator | None = None,
-                         ) -> LindbladGenerator:
+def pure_dephasing_qubit(D: float) -> LindbladGenerator:
     """Qubit monitored in the sigma_z basis.
 
     Implements the literal double commutator -D [sz, [sz, rho]] as the
@@ -736,7 +731,7 @@ def pure_dephasing_qubit(D: float, hamiltonian: Operator | None = None,
     from .core import SIGMA_Z
     if D < 0:
         raise ValueError("dephasing strength must be nonnegative")
-    return LindbladGenerator(hamiltonian, [(2.0 * D, SIGMA_Z)])
+    return LindbladGenerator(None, [(2.0 * D, SIGMA_Z)])
 
 
 #: Off-diagonal decay rate per unit dephasing strength for the literal

@@ -141,8 +141,8 @@ def effective_cross_section(amplitude_sq: Callable[[float, float], float],
 def scattering_constant(number_density: Callable[[float], float],
                         speed: Callable[[float], float],
                         amplitude_sq: Callable[[float, float], float],
-                        q_max: float, hbar: float = 1.0) -> float:
-    """Lambda = int dq rho(q) v(q) q^2 sigma_eff(q) / hbar^2.
+                        q_max: float) -> float:
+    """Lambda = int dq rho(q) v(q) q^2 sigma_eff(q), with hbar = 1.
 
     The momentum-resolved density rho(q), speed v(q), and differential
     cross-section |f(q, cos theta)|^2 are environment inputs that live
@@ -150,8 +150,7 @@ def scattering_constant(number_density: Callable[[float], float],
     tabulated gas and photon data, so only the quadrature is provided here.
     """
     def integrand(q: float) -> float:
-        return number_density(q) * speed(q) * q * q / hbar ** 2 \
-            * effective_cross_section(amplitude_sq, q)
+        return number_density(q) * speed(q) * q * q * effective_cross_section(amplitude_sq, q)
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)

@@ -27,10 +27,10 @@ import scipy.integrate
 from ..core import Grid1D, GridOperator
 from ..lindblad import (
     BornMarkovCoefficients,
+    CorrelationKernelSpec,
     ExtraTerm,
     LindbladGenerator,
     born_markov_coefficients,
-    noise_dissipation_kernels,
     ohmic,
 )
 
@@ -53,12 +53,11 @@ class QBMParams:
         return self.T >= 10.0 * self.Omega and self.T >= 10.0 * self.cutoff
 
 
-def qbm_coefficients(params: QBMParams,
-                     cutoff_time: float | None = None) -> BornMarkovCoefficients:
-    """Kernel quadratures for the ohmic bath at the system frequency."""
-    tc = cutoff_time if cutoff_time is not None else 50.0 / params.cutoff
-    kernels = noise_dissipation_kernels(
-        ohmic(params.mass, params.gamma0, params.cutoff), params.T, tc)
+def qbm_coefficients(params: QBMParams) -> BornMarkovCoefficients:
+    """Kernel quadratures for the ohmic bath at the system frequency, with
+    the lags integrated over [0, 50 / cutoff]."""
+    kernels = CorrelationKernelSpec(ohmic(params.mass, params.gamma0, params.cutoff),
+                                    params.T, 50.0 / params.cutoff)
     return born_markov_coefficients(kernels, params.Omega, mass=params.mass)
 
 

@@ -34,7 +34,6 @@ from ..lindblad import (
     LindbladGenerator,
     QuadratureError,
     _coth,
-    noise_dissipation_kernels,
 )
 
 
@@ -115,16 +114,12 @@ def spin_boson_pure_dephasing(params: SpinBosonParams) -> Callable[[float], floa
     return lambda t: math.exp(-gamma_of_t(t))
 
 
-def _bath_kernels(params: SpinBosonParams,
-                  cutoff_time: float | None) -> CorrelationKernelSpec:
-    """The bath kernels, integrated over [0, tc], tc = 50 / cutoff by default."""
-    tc = cutoff_time if cutoff_time is not None else 50.0 / params.cutoff
-    return noise_dissipation_kernels(params.J, params.T, tc)
+def _bath_kernels(params: SpinBosonParams) -> CorrelationKernelSpec:
+    """The bath kernels, integrated over [0, tc], tc = 50 / cutoff."""
+    return CorrelationKernelSpec(params.J, params.T, 50.0 / params.cutoff)
 
 
-def spin_boson_born_markov(params: SpinBosonParams,
-                           cutoff_time: float | None = None,
-                           ) -> LindbladGenerator:
+def spin_boson_born_markov(params: SpinBosonParams) -> LindbladGenerator:
     """Weak-coupling generator for the unbiased (omega0 = 0) model.
 
     d rho/dt = -i (H' rho - rho H'^dag) - D [sz, [sz, rho]]
@@ -137,7 +132,7 @@ def spin_boson_born_markov(params: SpinBosonParams,
     """
     if params.omega0 != 0:
         raise ValueError("weak-coupling generator covers the unbiased case omega0 = 0")
-    kernels = _bath_kernels(params, cutoff_time)
+    kernels = _bath_kernels(params)
     d0 = params.Delta0
     D, _ = kernels.lag_integral("nu", "cos", d0)
     zeta_conj = 0.0
@@ -160,10 +155,9 @@ def spin_boson_born_markov(params: SpinBosonParams,
     return LindbladGenerator(h_eff, [], extra_terms=extra)
 
 
-def spin_boson_dephasing_strength(params: SpinBosonParams,
-                                  cutoff_time: float | None = None) -> float:
+def spin_boson_dephasing_strength(params: SpinBosonParams) -> float:
     """D = int_0^tc nu(tau) cos(Delta0 tau) dtau for the unbiased model."""
-    return _bath_kernels(params, cutoff_time).lag_integral("nu", "cos", params.Delta0)[0]
+    return _bath_kernels(params).lag_integral("nu", "cos", params.Delta0)[0]
 
 
 def effective_spin_env_spectral_density(J: Callable[[float], float], T: float,

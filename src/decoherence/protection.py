@@ -73,8 +73,7 @@ def _canonical_basis(v: np.ndarray) -> np.ndarray:
     return basis
 
 
-def find_dfs(system_ops: Sequence[Operator],
-             tol: float = DEGENERACY_TOL) -> DFSResult:
+def find_dfs(system_ops: Sequence[Operator]) -> DFSResult:
     """Largest subspace on which every operator acts as a scalar.
 
     Intersects eigenspaces iteratively: diagonalize the first operator,
@@ -84,10 +83,10 @@ def find_dfs(system_ops: Sequence[Operator],
     subspace that can carry a protected qubit); dimension 0 is returned
     when none survives.
 
-    Eigenvalue clustering uses a relative gap of `tol`.  Near-degenerate
-    spectra are clustered accordingly; the result reports the clustered
-    eigenvalues as found, with no claim that approximately degenerate
-    blocks enjoy exact protection.
+    Eigenvalue clustering uses a relative gap of DEGENERACY_TOL.
+    Near-degenerate spectra are clustered accordingly; the result reports
+    the clustered eigenvalues as found, with no claim that approximately
+    degenerate blocks enjoy exact protection.
     """
     if not system_ops:
         raise ValueError("need at least one system operator")
@@ -106,7 +105,7 @@ def find_dfs(system_ops: Sequence[Operator],
         for eigs, v in candidates:
             restricted = v.conj().T @ op.matrix @ v
             restricted = 0.5 * (restricted + restricted.conj().T)
-            for lam, block in _eigenspaces(restricted, tol):
+            for lam, block in _eigenspaces(restricted, DEGENERACY_TOL):
                 if block.shape[1] >= 2:
                     refined.append((eigs + (lam,), v @ block))
         candidates = refined
@@ -141,12 +140,8 @@ def dfs_dimension_collective(n_qubits: int) -> int:
 
 def collective_dephasing_operator(n_qubits: int) -> Operator:
     """Total spin-z operator sum_i sigma_z^(i) on N qubits."""
-    dim = 2 ** n_qubits
-    diag = np.zeros(dim)
-    for i in range(n_qubits):
-        bit = (np.arange(dim) >> (n_qubits - 1 - i)) & 1
-        diag = diag + (1.0 - 2.0 * bit)
-    return Operator(np.diag(diag.astype(complex)))
+    ops = single_qubit_z_operators(n_qubits)
+    return sum(ops[1:], ops[0])
 
 
 def single_qubit_z_operators(n_qubits: int) -> list[Operator]:
@@ -160,18 +155,18 @@ def single_qubit_z_operators(n_qubits: int) -> list[Operator]:
 
 
 def dfs_entanglement_probe(system_ops: Sequence[Operator], state: StateVector,
-                           t: float = 1.0, env_dim: int | None = None,
-                           seed: int = 0) -> float:
+                           t: float = 1.0, seed: int = 0) -> float:
     """Mutual information after evolving under a random monitoring coupling.
 
-    Builds H = sum_alpha S_alpha (x) E_alpha with random Hermitian E_alpha,
+    Builds H = sum_alpha S_alpha (x) E_alpha with random Hermitian E_alpha
+    on an environment of dimension max(2, number of operators + 1),
     evolves |state>|0> for time t exactly, and returns I(S:E) of the result.
     States inside a decoherence-free subspace stay product (I ~ 0) because
     every S_alpha only multiplies them by its scalar.
     """
     rng = np.random.default_rng(seed)
     d_s = system_ops[0].dim
-    d_e = env_dim if env_dim is not None else max(2, len(system_ops) + 1)
+    d_e = max(2, len(system_ops) + 1)
     h = np.zeros((d_s * d_e, d_s * d_e), dtype=complex)
     for op in system_ops:
         e = rng.normal(size=(d_e, d_e)) + 1j * rng.normal(size=(d_e, d_e))
@@ -334,7 +329,7 @@ def _syndrome_circuit_state(state: StateVector) -> np.ndarray:
     return psi
 
 
-def correct_three_bit(cs: CodeState, tol: float = 1e-10) -> CorrectionReport:
+def correct_three_bit(cs: CodeState) -> CorrectionReport:
     """Extract the syndrome with ancillas and undo the indicated phase flip.
 
     The ancilla readout reveals which parity checks flipped -- never the
@@ -372,7 +367,7 @@ def correct_three_bit(cs: CodeState, tol: float = 1e-10) -> CorrectionReport:
     net_weight = sum(cs.applied_errors.count(q) % 2 for q in (1, 2, 3))
     return CorrectionReport(
         recovered, (s1, s2), counter, fidelity,
-        recovered_ok=fidelity >= 1.0 - tol,
+        recovered_ok=fidelity >= 1.0 - 1e-10,
         within_code_guarantee=net_weight <= 1,
     )
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import measures
-from .core import DensityMatrix, Grid1D, Operator, StateVector, bloch_state
+from .core import SIGMA_X, DensityMatrix, Grid1D, Operator, StateVector, bloch_state
 from .core import write_csv as _write_csv
 from .lindblad import (
     IntegratorConfig,
@@ -464,21 +464,20 @@ def serialize_config(cfg: ScenarioConfig) -> str:
 # Decay-rate fits
 # ---------------------------------------------------------------------------
 
-def fit_decay(times: np.ndarray, values: np.ndarray, kind: str,
-              window: tuple[float, float] = (0.05, 0.9)) -> dict:
+def fit_decay(times: np.ndarray, values: np.ndarray, kind: str) -> dict:
     """Linear log-space regression of a decaying magnitude.
 
-    exponential: log c = log c0 - rate * t     on c/c0 in [window]
+    exponential: log c = log c0 - rate * t     on c/c0 in [0.05, 0.9]
     gaussian:    log c = log c0 - rate_sq * t^2
 
-    The window avoids the short-time transient and the noise floor.
+    The window [0.05, 0.9] avoids the short-time transient and the noise floor.
     Returns the fitted rate, the RMS log-residual, and the window size.
     """
     v0 = values[0]
     if v0 <= 0:
         return {"kind": kind, "error": "initial value not positive"}
     rel = values / v0
-    mask = (rel >= window[0]) & (rel <= window[1]) & (values > 0)
+    mask = (rel >= 0.05) & (rel <= 0.9) & (values > 0)
     if np.count_nonzero(mask) < 3:
         return {"kind": kind, "error": "too few points in the fit window"}
     t = times[mask]
@@ -502,20 +501,6 @@ def fit_decay(times: np.ndarray, values: np.ndarray, kind: str,
 # ---------------------------------------------------------------------------
 # Execution
 # ---------------------------------------------------------------------------
-
-def _initial_grid_state(cfg: ScenarioConfig, grid: Grid1D) -> StateVector:
-    st = cfg.initial_state
-    if st["kind"] == "gaussian_packet":
-        return grid.gaussian_packet(st["x0"], st["sigma"], st["k0"])
-    return grid.two_packet_cat(st["x0"], st["sigma"])
-
-
-def _coherence_threshold(cfg: ScenarioConfig) -> float:
-    st = cfg.initial_state
-    if st["kind"] == "two_packet_cat":
-        return st["x0"]
-    return 2.0 * st["sigma"]
-
 
 def _coherence_peak_index(m0: np.ndarray, grid: Grid1D,
                           threshold: float) -> tuple[int, int]:
@@ -548,14 +533,12 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path = ".") -> dict:
     }
 
     try:
-        if cfg.model in ("collisional", "qbm", "caldeira_leggett"):
-            series = _run_grid_model(cfg, summary, out_dir)
-        elif cfg.model == "cavity_cat":
+        if cfg.model == "cavity_cat":
             series = _run_cavity(cfg, summary)
         elif cfg.model == "spin_spin":
             series = _run_spin_spin(cfg, summary)
         else:
-            series = _run_qubit_lindblad(cfg, summary, out_dir)
+            series = _run_master_equation(cfg, summary, out_dir)
     except ConfigError:
         raise
     except (PositivityLossError, QuadratureError, FloatingPointError,
@@ -584,47 +567,83 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path = ".") -> dict:
     return summary
 
 
-def _run_grid_model(cfg: ScenarioConfig, summary: dict, out_dir: Path) -> dict:
-    grid = Grid1D(cfg.grid["n_points"], cfg.grid["x_min"], cfg.grid["x_max"])
-    psi0 = _initial_grid_state(cfg, grid)
-    integ = IntegratorConfig(**cfg.integrator)
+def _generator(cfg: ScenarioConfig, grid: Grid1D | None) -> LindbladGenerator:
+    """The master-equation generator of a qbm, caldeira_leggett, spin_boson
+    or custom_lindblad scenario."""
     p = cfg.params
+    if cfg.model == "spin_boson":
+        return spin_boson_born_markov(SpinBosonParams(
+            omega0=0.0, Delta0=p["delta0"], J=ohmic_coupling(p["alpha"], p["cutoff"]),
+            T=p["temperature"], cutoff=p["cutoff"]))
+    if cfg.model == "custom_lindblad":
+        return LindbladGenerator(*_custom_operators(p))
+    qp = QBMParams(mass=p["mass"], Omega=p["omega"], gamma0=p["gamma0"],
+                   T=p["temperature"], cutoff=p["cutoff"])
+    if cfg.model == "qbm":
+        return qbm_generator(qp, grid, include_anomalous=p["anomalous"])
+    return caldeira_leggett_generator(qp, grid, include_dissipation=p["dissipation"])
+
+
+def _run_master_equation(cfg: ScenarioConfig, summary: dict, out_dir: Path) -> dict:
+    """Evolve a master-equation model and tabulate its requested quantities.
+
+    Grid models (collisional, qbm, caldeira_leggett) start from a packet
+    state and add position densities and Wigner snapshots; qubit models
+    (spin_boson, custom_lindblad) start from a Bloch state and add the
+    trajectory ensemble.  collisional runs the exact split step, every
+    other model RK4 through `evolve`.
+    """
+    integ = IntegratorConfig(**cfg.integrator)
     quantities = cfg.outputs["quantities"]
-    threshold = _coherence_threshold(cfg)
+    st = cfg.initial_state
+    grid = None
+    if cfg.grid is not None:
+        grid = Grid1D(cfg.grid["n_points"], cfg.grid["x_min"], cfg.grid["x_max"])
+        psi0 = (grid.gaussian_packet(st["x0"], st["sigma"], st["k0"])
+                if st["kind"] == "gaussian_packet"
+                else grid.two_packet_cat(st["x0"], st["sigma"]))
+    else:
+        psi0 = bloch_state(st["theta"], st["phi"])
 
     if cfg.model == "collisional":
+        p = cfg.params
         params = CollisionalParams(Lambda=p["lambda"], Gamma_tot=p["gamma_tot"],
                                    regime=p["regime"], mass=p["mass"])
         times, mats = collisional_evolve_split_step(
             params, grid, psi0, integ.dt, integ.n_steps,
             record_stride=integ.record_stride,
             include_free_dynamics=p["free_dynamics"])
-        states = None  # the split step returns unvalidated matrices
+        # the split step returns unvalidated matrices
+        states = [DensityMatrix(m, tol=1e-5, clamp=1e-5) for m in mats] \
+            if "entropy" in quantities else None
         summary["model_info"]["evolver"] = "split_step"
     else:
-        qp = QBMParams(mass=p["mass"], Omega=p["omega"], gamma0=p["gamma0"],
-                       T=p["temperature"], cutoff=p["cutoff"])
-        if cfg.model == "qbm":
-            gen = qbm_generator(qp, grid, include_anomalous=p["anomalous"])
-        else:
-            gen = caldeira_leggett_generator(qp, grid,
-                                             include_dissipation=p["dissipation"])
+        gen = _generator(cfg, grid)
         res = evolve(gen, psi0.density(), integ)
-        times = res.times
-        states = res.states
+        times, states = res.times, res.states
         mats = [s.matrix for s in states]
-        summary["model_info"]["evolver"] = "rk4"
+        if grid is not None:
+            summary["model_info"]["evolver"] = "rk4"
+        if cfg.model == "spin_boson":
+            dephasing = next(t for t in gen.extra_terms if t.label == "dephasing")
+            summary["model_info"]["dephasing_strength"] = float(-np.real(dephasing.coeff))
 
     series: dict = {"t": list(times)}
     if "purity" in quantities:
         series["purity"] = [float(np.real(np.trace(m @ m))) for m in mats]
     if "entropy" in quantities:
-        if states is None:
-            states = [DensityMatrix(m, tol=1e-5, clamp=1e-5) for m in mats]
         series["entropy"] = [measures.von_neumann_entropy(s) for s in states]
-    if "coherence_magnitude" in quantities:
+    if "coherence_magnitude" in quantities and grid is not None:
+        # beyond the packets' separation, or two widths of a single packet
+        threshold = st["x0"] if st["kind"] == "two_packet_cat" else 2.0 * st["sigma"]
         i0, j0 = _coherence_peak_index(mats[0], grid, threshold)
         series["coherence_magnitude"] = [float(np.abs(m[i0, j0])) for m in mats]
+    elif "coherence_magnitude" in quantities:
+        series["coherence_magnitude"] = [float(np.max(np.abs(
+            m - np.diag(np.diag(m))))) for m in mats]
+        series["re_rho01"] = [float(np.real(m[0, 1])) for m in mats]
+        series["im_rho01"] = [float(np.imag(m[0, 1])) for m in mats]
+
     if "position_density" in quantities:
         path = out_dir / f"{cfg.name}_position_density.csv"
         dens = np.concatenate([np.real(np.diag(m)) for m in mats]) / grid.dx
@@ -641,61 +660,20 @@ def _run_grid_model(cfg: ScenarioConfig, summary: dict, out_dir: Path) -> dict:
             field.to_csv(path)
             files.append({"file": path.name, "time": float(times[idx])})
         summary["files"]["wigner_snapshots"] = files
-    return series
-
-
-def _run_qubit_lindblad(cfg: ScenarioConfig, summary: dict, out_dir: Path) -> dict:
-    p = cfg.params
-    st = cfg.initial_state
-    integ = cfg.integrator
-    if cfg.model == "spin_boson":
-        sbp = SpinBosonParams(omega0=0.0, Delta0=p["delta0"],
-                              J=ohmic_coupling(p["alpha"], p["cutoff"]),
-                              T=p["temperature"], cutoff=p["cutoff"])
-        gen = spin_boson_born_markov(sbp)
-        summary["model_info"]["dephasing_strength"] = _dephasing_strength_of(gen)
-    else:
-        gen = LindbladGenerator(*_custom_operators(p))
-
-    psi0 = bloch_state(st["theta"], st["phi"])
-    rho0 = psi0.density()
-    res = evolve(gen, rho0, IntegratorConfig(**integ))
-    series: dict = {"t": list(res.times)}
-    quantities = cfg.outputs["quantities"]
-    mats = [s.matrix for s in res.states]
-    if "purity" in quantities:
-        series["purity"] = [measures.purity(s) for s in res.states]
-    if "entropy" in quantities:
-        series["entropy"] = [measures.von_neumann_entropy(s) for s in res.states]
-    if "coherence_magnitude" in quantities:
-        series["coherence_magnitude"] = [float(np.max(np.abs(
-            m - np.diag(np.diag(m))))) for m in mats]
-        series["re_rho01"] = [float(np.real(m[0, 1])) for m in mats]
-        series["im_rho01"] = [float(np.imag(m[0, 1])) for m in mats]
-
     if cfg.trajectories is not None:
         tj = cfg.trajectories
         tcfg = TrajectoryConfig(
             n_trajectories=tj["n_trajectories"],
-            dt=tj.get("dt") or integ["dt"],
-            t_final=integ["t_final"],
+            dt=tj.get("dt") or integ.dt,
+            t_final=integ.t_final,
             seed=tj.get("seed") if tj.get("seed") is not None else cfg.seed,
-            record_stride=_trajectory_stride(integ, tj))
-        ens = unravel(gen, rho0, tcfg)
-        from .core import SIGMA_X
-        stats = ensemble_statistics(ens, SIGMA_X)
+            record_stride=_trajectory_stride(cfg.integrator, tj))
+        stats = ensemble_statistics(unravel(gen, states[0], tcfg), SIGMA_X)
         path = out_dir / f"{cfg.name}_trajectories.csv"
         _write_csv(path, ["t", "mean_sx", "stderr_sx"],
                    [stats["times"], stats["mean"], stats["stderr"]])
         summary["files"]["trajectories"] = path.name
     return series
-
-
-def _dephasing_strength_of(gen: LindbladGenerator) -> float:
-    for term in gen.extra_terms:
-        if term.label == "dephasing":
-            return float(-np.real(term.coeff))
-    return 0.0
 
 
 def _run_spin_spin(cfg: ScenarioConfig, summary: dict) -> dict:

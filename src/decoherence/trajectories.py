@@ -73,10 +73,11 @@ class StepInstabilityError(RuntimeError):
     """Per-trajectory trace drift exceeded tolerance; dt is too large."""
 
 
-def _gaussian_increments(seed: int, traj_index: int, n_steps: int,
+def _gaussian_increments(base: np.random.Philox, traj_index: int, n_steps: int,
                          n_ops: int, dt: float) -> np.ndarray:
-    """Wiener increments for one trajectory from its own Philox substream."""
-    stream = np.random.Generator(np.random.Philox(key=seed).jumped(traj_index))
+    """Wiener increments for one trajectory from its own substream: the
+    ensemble's Philox generator jumped traj_index times."""
+    stream = np.random.Generator(base.jumped(traj_index))
     u = stream.random((n_steps, n_ops))
     # inverse-CDF transform pins the mapping from uniforms to Gaussians
     return ndtri(u) * math.sqrt(dt)
@@ -108,7 +109,8 @@ def unravel(gen: LindbladGenerator, rho0: DensityMatrix,
     n, dim = cfg.n_trajectories, gen.dim
     batch0 = np.broadcast_to(rho0.matrix, (n, dim, dim)).copy()
     states = np.empty((n, len(steps), dim, dim), dtype=complex)
-    dw = np.stack([_gaussian_increments(cfg.seed, j, n_steps, len(noise_ops), cfg.dt)
+    base = np.random.Philox(key=cfg.seed)
+    dw = np.stack([_gaussian_increments(base, j, n_steps, len(noise_ops), cfg.dt)
                    for j in range(n)])  # (n, n_steps, n_ops)
 
     def euler_maruyama(k: int, rho: np.ndarray) -> np.ndarray:
@@ -142,14 +144,19 @@ def unravel(gen: LindbladGenerator, rho0: DensityMatrix,
     return TrajectoryEnsemble(times, states, ensemble_mean)
 
 
+def _observable_values(ens: TrajectoryEnsemble, obs: Operator) -> np.ndarray:
+    """<obs> per trajectory and recorded time, shape (n_trajectories, n_recorded)."""
+    if obs.dim != ens.conditioned_states.shape[-1]:
+        raise ValueError("observable dimension mismatch")
+    return np.real(np.einsum("ntij,ji->nt", ens.conditioned_states, obs.matrix))
+
+
 def ensemble_statistics(ens: TrajectoryEnsemble, obs: Operator) -> dict:
     """Per-time mean and standard error of <obs> across trajectories."""
-    n, n_rec, dim, _ = ens.conditioned_states.shape
-    if obs.dim != dim:
-        raise ValueError("observable dimension mismatch")
+    vals = _observable_values(ens, obs)
+    n = vals.shape[0]
     if n < 2:
         raise ValueError("standard error undefined for a single trajectory")
-    vals = np.real(np.einsum("ntij,ji->nt", ens.conditioned_states, obs.matrix))
     mean = np.mean(vals, axis=0)
     stderr = np.std(vals, axis=0, ddof=1) / math.sqrt(n)
     return {"times": ens.times, "mean": mean, "stderr": stderr}
@@ -157,7 +164,7 @@ def ensemble_statistics(ens: TrajectoryEnsemble, obs: Operator) -> dict:
 
 def export_ensemble_csv(ens: TrajectoryEnsemble, obs: Operator, path) -> None:
     """Rows (trajectory_id, t, value) of <obs> along each trajectory."""
-    vals = np.real(np.einsum("ntij,ji->nt", ens.conditioned_states, obs.matrix))
+    vals = _observable_values(ens, obs)
     n, n_rec = vals.shape
     write_csv(path, ["trajectory_id", "t", "value"],
               [np.repeat(np.arange(n), n_rec), np.tile(ens.times, n), vals.ravel()])

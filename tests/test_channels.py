@@ -127,6 +127,19 @@ class TestCompletePositivity:
         assert_allclose(sorted(nonzero), [p, 1 - p], atol=1e-12)
         assert check_complete_positivity(s)["cp"]
 
+    def test_choi_matrix_equals_its_blockwise_definition(self, rng):
+        for d in (2, 3, 4):
+            s = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+            # block (i, j) is the map applied to |i><j|
+            ref = np.zeros((d * d, d * d), dtype=complex)
+            for i in range(d):
+                for j in range(d):
+                    eij = np.zeros((d, d), dtype=complex)
+                    eij[i, j] = 1.0
+                    ref[i * d:(i + 1) * d, j * d:(j + 1) * d] = \
+                        (s @ eij.reshape(-1)).reshape(d, d)
+            assert np.array_equal(choi_matrix(s), ref / d)
+
 
 class TestConvexLinearity:
     def test_channel_maps_are_convex_linear(self, rng):

@@ -11,13 +11,14 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from decoherence.core import KET_PLUS, Grid1D, GridOperator, Operator, SIGMA_Z
+from decoherence.core import KET_PLUS, DensityMatrix, Grid1D, GridOperator, Operator, SIGMA_Z
 from decoherence.lindblad import (
     ExtraTerm,
     IntegratorConfig,
     LindbladGenerator,
     PositivityLossError,
     evolve,
+    pure_dephasing_qubit,
     record_steps,
     split_march,
 )
@@ -274,6 +275,14 @@ class TestSameRejectionOnBothPaths:
         with pytest.raises(ValueError, match="Hermitian Hamiltonian"):
             unravel(gen, KET_PLUS.density(),
                     TrajectoryConfig(4, dt=1e-3, t_final=0.1, seed=1))
+
+    def test_state_of_the_wrong_dimension(self):
+        gen = pure_dephasing_qubit(0.1)
+        for rho0 in (DensityMatrix([[1.0]]), DensityMatrix.maximally_mixed(3)):
+            with pytest.raises(ValueError, match="state dimension does not match"):
+                evolve(gen, rho0, IntegratorConfig(1e-3, 0.01))
+            with pytest.raises(ValueError, match="state dimension does not match"):
+                unravel(gen, rho0, TrajectoryConfig(4, dt=1e-3, t_final=0.01, seed=1))
 
 
 def _load_tracing():

@@ -13,6 +13,7 @@ from decoherence.core import (
     SIGMA_Z,
 )
 from decoherence.lindblad import (
+    CorrelationKernelSpec,
     IntegratorConfig,
     LindbladGenerator,
     PURE_DEPHASING_RATE_FACTOR,
@@ -24,7 +25,6 @@ from decoherence.lindblad import (
     convergence_check,
     evolve,
     lindblad_repair_caldeira_leggett,
-    noise_dissipation_kernels,
     ohmic,
     ohmic_spectral_density,
     pure_dephasing_qubit,
@@ -223,22 +223,22 @@ class TestKernels:
     def test_dissipation_kernel_closed_form(self):
         # ohmic with Lorentz rolloff: eta(tau) = M gamma0 Lambda^2 e^(-Lambda tau)
         m, g0, lam = 1.0, 0.2, 50.0
-        spec = noise_dissipation_kernels(ohmic(m, g0, lam), T=10.0,
-                                         cutoff_time=50.0 / lam)
+        spec = CorrelationKernelSpec(ohmic(m, g0, lam), T=10.0,
+                                     cutoff_time=50.0 / lam)
         for tau in (0.01, 0.05, 0.1):
             want = m * g0 * lam ** 2 * np.exp(-lam * tau)
             assert spec.eta(tau) == pytest.approx(want, rel=1e-6)
 
     def test_eta_vanishes_at_zero_lag(self):
-        spec = noise_dissipation_kernels(ohmic(1.0, 0.1, 10.0), T=1.0,
-                                         cutoff_time=5.0)
+        spec = CorrelationKernelSpec(ohmic(1.0, 0.1, 10.0), T=1.0,
+                                     cutoff_time=5.0)
         assert spec.eta(0.0) == 0.0
 
     def test_noise_kernel_high_temperature_closed_form(self):
         # coth -> 2T/w turns nu into 2 T int J/w cos = 2 M gamma0 T Lambda e^-Lambda tau
         m, g0, lam, T = 1.0, 0.2, 10.0, 1e4
-        spec = noise_dissipation_kernels(ohmic(m, g0, lam), T=T,
-                                         cutoff_time=50.0 / lam)
+        spec = CorrelationKernelSpec(ohmic(m, g0, lam), T=T,
+                                     cutoff_time=50.0 / lam)
         for tau in (0.05, 0.2):
             want = 2.0 * m * g0 * T * lam * np.exp(-lam * tau)
             assert spec.nu(tau) == pytest.approx(want, rel=1e-3)
@@ -254,7 +254,7 @@ class TestKernels:
 
         m, g0, lam = 1.0, 0.3, 20.0
         T = 5.0
-        spec = noise_dissipation_kernels(ohmic(m, g0, lam), T=T, cutoff_time=2.0)
+        spec = CorrelationKernelSpec(ohmic(m, g0, lam), T=T, cutoff_time=2.0)
         tau = 0.07
 
         def coth(x):
@@ -281,15 +281,15 @@ class TestBornMarkovCoefficients:
     def test_high_temperature_decoherence_coefficient(self):
         # k_B T / cutoff = 1e3 and cutoff / Omega = 1e3: D -> 2 M gamma0 k_B T
         m, g0, lam, T, omega = 1.0, 0.1, 1e3, 1e6, 1.0
-        spec = noise_dissipation_kernels(ohmic(m, g0, lam), T=T,
-                                         cutoff_time=50.0 / lam)
+        spec = CorrelationKernelSpec(ohmic(m, g0, lam), T=T,
+                                     cutoff_time=50.0 / lam)
         c = born_markov_coefficients(spec, omega=omega, mass=m)
         assert c.D == pytest.approx(2.0 * m * g0 * T, rel=0.02)
 
     def test_quadrature_error_estimate_returned(self):
         m, g0, lam, T = 1.0, 0.2, 100.0, 10.0
-        spec = noise_dissipation_kernels(ohmic(m, g0, lam), T=T,
-                                         cutoff_time=50.0 / lam)
+        spec = CorrelationKernelSpec(ohmic(m, g0, lam), T=T,
+                                     cutoff_time=50.0 / lam)
         c = born_markov_coefficients(spec, omega=1.0, mass=m)
         assert np.isfinite(c.quadrature_error)
         assert c.quadrature_error < 1e-4 * max(abs(c.D), 1.0)
@@ -299,8 +299,8 @@ class TestBornMarkovCoefficients:
         m, g0, lam, omega = 1.0, 0.2, 100.0, 1.0
         gammas = []
         for T in (1.0, 100.0):
-            spec = noise_dissipation_kernels(ohmic(m, g0, lam), T=T,
-                                             cutoff_time=50.0 / lam)
+            spec = CorrelationKernelSpec(ohmic(m, g0, lam), T=T,
+                                         cutoff_time=50.0 / lam)
             gammas.append(born_markov_coefficients(spec, omega=omega, mass=m).gamma)
         assert gammas[0] == pytest.approx(gammas[1], rel=1e-9)
         # eta = M gamma0 Lambda^2 e^(-Lambda tau) integrates in closed form to
@@ -317,8 +317,8 @@ class TestSwappedOrderCoefficients:
         # one frequency integral per coefficient against the tau quadrature of
         # the kernels, within the error estimates that both report
         m = 1.0
-        spec = noise_dissipation_kernels(ohmic(m, 0.1, lam), T=T,
-                                         cutoff_time=50.0 / lam)
+        spec = CorrelationKernelSpec(ohmic(m, 0.1, lam), T=T,
+                                     cutoff_time=50.0 / lam)
         c = born_markov_coefficients(spec, omega=omega, mass=m)
         for name, kernel, trig, scale in [("D", "nu", "cos", 1.0),
                                           ("f", "nu", "sin", -1.0 / (m * omega)),
@@ -330,14 +330,14 @@ class TestSwappedOrderCoefficients:
 
     def test_non_convergent_spectral_density_raises(self):
         # super-ohmic without a cutoff: the frequency integrals grow without bound
-        spec = noise_dissipation_kernels(lambda w: w * w, T=1.0, cutoff_time=1.0)
+        spec = CorrelationKernelSpec(lambda w: w * w, T=1.0, cutoff_time=1.0)
         with pytest.raises(QuadratureError):
             born_markov_coefficients(spec, omega=1.0)
 
     def test_log_divergent_noise_tail_raises(self):
         # ohmic without a cutoff: the non-oscillating tail of nu sin falls like
         # 1/w, so its integral grows like log w though QUADPACK reports success
-        spec = noise_dissipation_kernels(lambda w: w, T=1.0, cutoff_time=1.0)
+        spec = CorrelationKernelSpec(lambda w: w, T=1.0, cutoff_time=1.0)
         with pytest.raises(QuadratureError):
             spec.lag_integral("nu", "sin", 1.0)
 
@@ -367,7 +367,7 @@ class TestGenericBornMarkovBuilder:
 
         delta0, alpha, T, lam = 1.3, 0.02, 400.0, 40.0
         tc = 50.0 / lam
-        kernels = noise_dissipation_kernels(ohmic_coupling(alpha, lam), T, tc)
+        kernels = CorrelationKernelSpec(ohmic_coupling(alpha, lam), T, tc)
         n_q = 801
         taus = np.linspace(0.0, tc, n_q)
         nu_s = np.array([kernels.nu(t) for t in taus])

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from decoherence.core import bloch_state
-from decoherence.lindblad import apply_generator, noise_dissipation_kernels
+from decoherence.lindblad import CorrelationKernelSpec, apply_generator
 from decoherence.models import (
     SpinSpinParams,
     effective_spin_env_spectral_density,
@@ -100,7 +100,7 @@ class TestBornMarkovGenerator:
         # cos(0) = 1 collapses the strength to the plain kernel integral
         p = make_params(alpha=0.06, T=1.0, cutoff=40.0)
         d = spin_boson_dephasing_strength(p)
-        kernels = noise_dissipation_kernels(p.J, p.T, 50.0 / p.cutoff)
+        kernels = CorrelationKernelSpec(p.J, p.T, 50.0 / p.cutoff)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             area, _ = quad(kernels.nu, 0.0, 50.0 / p.cutoff, limit=300)
@@ -135,7 +135,7 @@ class TestSwappedOrderCoefficients:
         # error estimates of both orders
         p = make_params(alpha=0.02, T=1.0, cutoff=50.0, delta0=delta0)
         gen = spin_boson_born_markov(p)
-        kernels = noise_dissipation_kernels(p.J, p.T, 50.0 / p.cutoff)
+        kernels = CorrelationKernelSpec(p.J, p.T, 50.0 / p.cutoff)
 
         def within_errors(value, kernel, trig):
             nested, nested_err = nested_lag_integral(kernels, kernel, trig, delta0)

@@ -13,6 +13,7 @@ from decoherence.lindblad import (
 )
 from decoherence.trajectories import (
     TrajectoryConfig,
+    _gaussian_increments,
     ensemble_statistics,
     export_ensemble_csv,
     export_ensemble_summary_json,
@@ -118,6 +119,15 @@ class TestDeterminism:
         b = unravel(none, KET_PLUS.density(), cfg)
         assert np.array_equal(a.conditioned_states, b.conditioned_states)
 
+    def test_trajectories_share_one_seeded_generator(self):
+        # jumping the ensemble's generator leaves it unchanged, so trajectory
+        # j draws what a generator seeded afresh and jumped j times draws
+        base = np.random.Philox(key=1234)
+        for j in (3, 0, 2, 1):
+            assert np.array_equal(
+                _gaussian_increments(base, j, 50, 2, 1e-3),
+                _gaussian_increments(np.random.Philox(key=1234), j, 50, 2, 1e-3))
+
     def test_different_seeds_differ(self):
         a = unravel(DEPHASING, KET_PLUS.density(),
                     TrajectoryConfig(4, dt=1e-3, t_final=0.3, seed=1))
@@ -184,6 +194,15 @@ class TestStatisticsAndExport:
                       TrajectoryConfig(1, dt=1e-4, t_final=0.05, seed=3))
         with pytest.raises(ValueError):
             ensemble_statistics(ens, SIGMA_X)
+
+    def test_observable_of_the_wrong_dimension(self, tmp_path):
+        ens = unravel(DEPHASING, KET_PLUS.density(),
+                      TrajectoryConfig(3, dt=1e-2, t_final=0.1, seed=3))
+        obs = Operator.identity(3)
+        with pytest.raises(ValueError, match="observable dimension mismatch"):
+            ensemble_statistics(ens, obs)
+        with pytest.raises(ValueError, match="observable dimension mismatch"):
+            export_ensemble_csv(ens, obs, tmp_path / "ens.csv")
 
     def test_csv_and_json_exports(self, tmp_path):
         ens = unravel(DEPHASING, KET_PLUS.density(),
