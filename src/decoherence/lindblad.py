@@ -35,6 +35,8 @@ from .core import DensityMatrix, GridOperator, Operator
 
 TRACE_DRIFT_TOL = 1e-7
 POSITIVITY_DRIFT_TOL = 1e-7
+#: RK4 is stable for dt * lambda in [-2.785, 0] on the negative real axis
+RK4_STABILITY_LIMIT = 2.785
 
 
 # ---------------------------------------------------------------------------
@@ -138,13 +140,18 @@ class LindbladGenerator:
         self.bare_kernel = kernel is not None
         terms = [] if kernel is None else [kernel]
         self._dense = []  # (rate, L, L^dag L) of the non-diagonal operators
+        #: measurement action L rho + rho L^dag per Lindblad operator, in
+        #: order: (kernel d_i + d_j^*, None) for a diagonal d, (None, L) otherwise
+        self.noise_actions = []
         for rate, op in self.lindblad_ops:
             d, rest = _split_diagonal(op)
             if rest is None:
                 dd = np.real(d * d.conj())
                 terms.append(rate * (np.outer(d, d.conj()) - 0.5 * np.add.outer(dd, dd)))
+                self.noise_actions.append((np.add.outer(d, d.conj()), None))
             else:
                 self._dense.append((rate, op.matrix, op.matrix.conj().T @ op.matrix))
+                self.noise_actions.append((None, op.matrix))
         # the part of H acting as an operator; its diagonal part is a kernel
         h, self._h_action = ((None, None) if hamiltonian is None
                              else _split_diagonal(hamiltonian))
@@ -208,13 +215,11 @@ class LindbladGenerator:
     def superoperator(self) -> np.ndarray:
         """Dense dim^2 x dim^2 matrix of the generator on row-major vec(rho)."""
         d = self.dim
-        s = np.zeros((d * d, d * d), dtype=complex)
-        basis = np.zeros((d, d), dtype=complex)
+        s = np.empty((d * d, d * d), dtype=complex)
         for i in range(d):
-            for j in range(d):
-                basis[i, j] = 1.0
-                s[:, i * d + j] = self.apply(basis).reshape(-1)
-                basis[i, j] = 0.0
+            basis = np.zeros((d, d, d), dtype=complex)
+            basis[:, i] = np.eye(d)  # basis[j] = |i><j|, column i d + j
+            s[:, i * d:(i + 1) * d] = self.apply(basis).reshape(d, d * d).T
         return s
 
 
@@ -339,8 +344,16 @@ def _rk4_step(gen: LindbladGenerator, rho: np.ndarray, dt: float) -> np.ndarray:
     return rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _positivity_hint(gen: LindbladGenerator) -> str:
-    """What to try when gen's states lose positivity."""
+def _positivity_hint(gen: LindbladGenerator, dt: float) -> str:
+    """What to try when gen's states lose positivity under RK4 steps of dt.
+
+    A kernel rate beyond RK4's stability interval, |dt K| > 2.785 on the
+    real axis, makes the step itself blow up, whatever the generator.
+    """
+    stiffness = 0.0 if gen.kernel is None else dt * float(np.max(np.abs(gen.kernel)))
+    if stiffness > RK4_STABILITY_LIMIT:
+        return (f"reduce dt: dt * max|K| = {stiffness:.3g} exceeds RK4's "
+                f"stability limit {RK4_STABILITY_LIMIT}")
     if any(t.label == "damping" for t in gen.extra_terms):
         return ("the damping term gamma [x, {p, rho}] is not completely positive; "
                 "lindblad_repair_caldeira_leggett is the completely positive form")
@@ -368,7 +381,7 @@ def evolve(gen: LindbladGenerator, rho0: DensityMatrix,
     if rho0.dim != gen.dim:
         raise ValueError("state dimension does not match the generator")
     states = []
-    hint = _positivity_hint(gen)
+    hint = _positivity_hint(gen, cfg.dt)
     for k, rho in _march(np.array(rho0.matrix),
                          lambda _, r: _rk4_step(gen, r, cfg.dt),
                          cfg.n_steps, cfg.record_stride):

@@ -12,6 +12,10 @@ pure states stay (numerically almost) pure along each trajectory, while
 the trajectory average converges to the deterministic master-equation
 solution at the usual 1/sqrt(N) Monte Carlo rate.
 
+The measurement term follows the generator's rule for diagonal structure:
+a diagonal L with diagonal d gives W[L] rho from the elementwise kernel
+(d_i + d_j^*) rho, and any other L keeps its matmuls L rho + rho L^dag.
+
 Reproducibility: trajectory j draws its increments from an independent
 counter-based stream (Philox keyed by the ensemble seed, jumped j times),
 with Gaussians produced by the inverse CDF applied to that stream's
@@ -105,7 +109,8 @@ def unravel(gen: LindbladGenerator, rho0: DensityMatrix,
 
     n_steps = cfg.n_steps
     steps = record_steps(n_steps, cfg.record_stride)
-    noise_ops = [(math.sqrt(rate), op.matrix) for rate, op in gen.lindblad_ops]
+    noise_ops = [(math.sqrt(rate), kernel, l)
+                 for (rate, _), (kernel, l) in zip(gen.lindblad_ops, gen.noise_actions)]
     n, dim = cfg.n_trajectories, gen.dim
     batch0 = np.broadcast_to(rho0.matrix, (n, dim, dim)).copy()
     states = np.empty((n, len(steps), dim, dim), dtype=complex)
@@ -115,16 +120,15 @@ def unravel(gen: LindbladGenerator, rho0: DensityMatrix,
 
     def euler_maruyama(k: int, rho: np.ndarray) -> np.ndarray:
         new = rho + cfg.dt * gen.apply(rho)
-        for mu, (sr, l) in enumerate(noise_ops):
-            w = l @ rho + rho @ l.conj().T
-            tr = np.trace(w, axis1=1, axis2=2)
-            w = w - tr[:, None, None] * rho
-            new = new + sr * dw[:, k, mu][:, None, None] * w
+        for mu, (sr, kernel, l) in enumerate(noise_ops):
+            w = kernel * rho if l is None else l @ rho + rho @ l.conj().T
+            w -= np.einsum("nii->n", w)[:, None, None] * rho
+            new += sr * dw[:, k, mu][:, None, None] * w
         return new
 
     for pos, (k, rho) in enumerate(_march(batch0, euler_maruyama, n_steps,
                                           cfg.record_stride)):
-        tr_err = np.max(np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0))
+        tr_err = np.max(np.abs(np.einsum("nii->n", rho) - 1.0))
         # the update is traceless by construction, so a drifting or
         # non-finite trace means the state itself blew up
         if not np.isfinite(tr_err) or tr_err > TRACE_DRIFT_LIMIT \

@@ -514,6 +514,44 @@ x_max = 8.0
         assert "negative eigenvalue" in err and "t=0.005;" in err
         assert "gamma [x, {p, rho}]" in err and "lindblad_repair_caldeira_leggett" in err
 
+    def test_rk4_instability_asks_for_a_smaller_step(self, tmp_path, capsys):
+        # the kernel rate 2D (x_i - x_j)^2 / 2 reaches about 2 560, so dt = 0.01
+        # is far outside RK4's stability interval: the step, not the damping
+        # term, is at fault
+        path = tmp_path / "cl_stiff.cfg"
+        path.write_text("""
+[scenario]
+name = cl_stiff
+model = caldeira_leggett
+
+[params]
+mass = 1.0
+omega = 1.0
+gamma0 = 0.1
+temperature = 50.0
+cutoff = 5.0
+
+[initial_state]
+kind = gaussian_packet
+sigma = 0.5
+
+[integrator]
+dt = 0.01
+t_final = 0.1
+
+[outputs]
+quantities = purity
+
+[grid]
+n_points = 64
+x_min = -8.0
+x_max = 8.0
+""")
+        assert cli_main(["run", str(path), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "reduce dt" in err and "dt * max|K| = 25.6" in err
+        assert "not completely positive" not in err
+
     @pytest.mark.parametrize("out", ["blocker", "blocker/results"],
                              ids=["regular_file", "under_regular_file"])
     def test_unwritable_output_directory_exits_2(self, tmp_path, capsys, out):

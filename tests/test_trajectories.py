@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,6 +12,7 @@ from decoherence.lindblad import (
     PURE_DEPHASING_RATE_FACTOR,
     evolve,
     pure_dephasing_qubit,
+    record_steps,
 )
 from decoherence.trajectories import (
     TrajectoryConfig,
@@ -134,6 +137,59 @@ class TestDeterminism:
         b = unravel(DEPHASING, KET_PLUS.density(),
                     TrajectoryConfig(4, dt=1e-3, t_final=0.3, seed=2))
         assert not np.array_equal(a.conditioned_states, b.conditioned_states)
+
+
+def matmul_unravel(gen, rho0, cfg):
+    """Reference Euler-Maruyama loop, one trajectory at a time, with every
+    measurement term in matmul form L rho + rho L^dag."""
+    base = np.random.Philox(key=cfg.seed)
+    recorded = set(record_steps(cfg.n_steps, cfg.record_stride))
+    states = []
+    for j in range(cfg.n_trajectories):
+        dw = _gaussian_increments(base, j, cfg.n_steps, len(gen.lindblad_ops), cfg.dt)
+        rho = rho0.matrix.copy()
+        path = [rho]
+        for k in range(cfg.n_steps):
+            new = rho + cfg.dt * gen.apply(rho)
+            for mu, (rate, op) in enumerate(gen.lindblad_ops):
+                l = op.matrix
+                w = l @ rho + rho @ l.conj().T
+                w = w - np.trace(w) * rho
+                new = new + math.sqrt(rate) * dw[k, mu] * w
+            rho = new
+            if k + 1 in recorded:
+                path.append(rho)
+        states.append(path)
+    return np.array(states)
+
+
+class TestMeasurementKernel:
+    """A diagonal L's measurement term is the kernel d_i + d_j^* times rho."""
+
+    CFG = TrajectoryConfig(6, dt=1e-3, t_final=0.2, seed=77, record_stride=40)
+
+    def test_sigma_z_dephasing_is_bit_identical_to_matmuls(self):
+        ens = unravel(DEPHASING, KET_PLUS.density(), self.CFG)
+        assert np.array_equal(ens.conditioned_states,
+                              matmul_unravel(DEPHASING, KET_PLUS.density(), self.CFG))
+
+    def test_real_diagonal_operator_in_three_dimensions(self, rng):
+        gen = LindbladGenerator(None, [(0.5, Operator(np.diag([0.3, -1.1, 0.7])))])
+        assert gen.noise_actions[0][1] is None
+        rho0 = random_density(rng, 3)
+        ens = unravel(gen, rho0, self.CFG)
+        assert_allclose(ens.conditioned_states, matmul_unravel(gen, rho0, self.CFG),
+                        rtol=0, atol=1e-14)
+
+    def test_diagonal_and_non_diagonal_operators_together(self, rng):
+        gen = LindbladGenerator(None, [(0.4, SIGMA_Z), (0.3, SIGMA_X)])
+        (_, l_z), (kernel_x, l_x) = gen.noise_actions
+        assert l_z is None and kernel_x is None
+        assert np.array_equal(l_x, SIGMA_X.matrix)  # sigma_x keeps its matmuls
+        rho0 = random_density(rng, 2)
+        ens = unravel(gen, rho0, self.CFG)
+        assert_allclose(ens.conditioned_states, matmul_unravel(gen, rho0, self.CFG),
+                        rtol=0, atol=1e-14)
 
 
 class TestEnsembleConvergence:
