@@ -43,6 +43,7 @@ from .lindblad import (
     evolve,
     lindblad_repair_caldeira_leggett,
     ohmic_spectral_density,
+    propagate,
     pure_dephasing_qubit,
 )
 from .measures import (

@@ -129,12 +129,12 @@ def choi_matrix(superop: np.ndarray) -> np.ndarray:
 
 
 def check_complete_positivity(superop: np.ndarray) -> dict:
-    """Certify complete positivity from the minimum Choi eigenvalue."""
+    """Certify complete positivity from a Hermitian Choi matrix's minimum eigenvalue."""
     c = choi_matrix(superop)
-    c = 0.5 * (c + c.conj().T)
-    w = np.linalg.eigvalsh(c)
-    wmin = float(w[0])
-    return {"cp": wmin >= -CP_EIGENVALUE_TOL, "min_choi_eigenvalue": wmin}
+    herm = float(np.max(np.abs(c - c.conj().T)))
+    wmin = float(np.linalg.eigvalsh(0.5 * (c + c.conj().T))[0])
+    return {"cp": herm <= CP_EIGENVALUE_TOL and wmin >= -CP_EIGENVALUE_TOL,
+            "min_choi_eigenvalue": wmin}
 
 
 def check_convex_linearity(apply_map: Callable[[np.ndarray], np.ndarray],

@@ -14,13 +14,15 @@ anticommutator terms c [A,{B,rho}], and paired sandwich terms c A rho B.
 A non-Hermitian H is propagated as H rho - rho H^dag, which the sandwich
 terms of the weak-coupling two-level equation rely on to conserve trace.
 
-Integration is classical fixed-step 4th-order (reproducible time series);
-`convergence_check` estimates the step error by halving dt.  Every stepping
-evolver of the package runs the loop `_march` on the schedule `record_steps`.
+`propagate` steps exp(L t) by the split step, the exact propagator of a
+small generator or `evolve`, classical fixed-step 4th-order, whose error
+`convergence_check` estimates by halving dt.  Every stepping evolver of
+the package runs the loop `_march` on the schedule `record_steps`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -31,12 +33,15 @@ import scipy.fft
 import scipy.integrate
 from scipy.integrate import quad
 
+from .channels import CP_EIGENVALUE_TOL, check_complete_positivity
 from .core import DensityMatrix, GridOperator, Operator
 
 TRACE_DRIFT_TOL = 1e-7
 POSITIVITY_DRIFT_TOL = 1e-7
 #: RK4 is stable for dt * lambda in [-2.785, 0] on the negative real axis
 RK4_STABILITY_LIMIT = 2.785
+#: largest dim stepped by its exact propagator: 16^4 complex entries, 1 MiB
+EXACT_MAX_DIM = 16
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +164,9 @@ class LindbladGenerator:
             terms.append(-1j * np.subtract.outer(h, h.conj()))
         self.kernel = sum(terms[1:], terms[0]) if terms else None
         self._h_is_hermitian = self._h_action is None or self._h_action.is_hermitian(1e-12)
+        #: E(k) plus an elementwise kernel, which split_march steps exactly
+        self.splits = not (self.extra_terms or self._dense) and (
+            self._h_action is None or isinstance(self._h_action, GridOperator))
 
     @classmethod
     def from_first_standard_form(cls, hamiltonian: Operator | None,
@@ -266,14 +274,13 @@ def split_march(gen: LindbladGenerator, rho0: np.ndarray, dt: float, n_steps: in
     kinetic phase pending, so adjacent half steps fuse: a step is one 2-D
     FFT to x, the factor, one 2-D FFT back and the full phase.  Yields
     (k, position-representation state) at every recorded step, as _march
-    does, step 0 being rho0.  A generator with extra terms, non-diagonal
-    Lindblad operators or a Hamiltonian whose non-diagonal part is not a
-    GridOperator's E(k) raises ValueError.
+    does, step 0 being rho0.  A generator that does not split
+    (`LindbladGenerator.splits`) raises ValueError.
     """
-    h = gen._h_action  # E(k) or None: the kernel holds the diagonal of H
-    if gen.extra_terms or gen._dense or not (h is None or isinstance(h, GridOperator)):
+    if not gen.splits:
         raise ValueError("the split step needs H = E(k) + V(x) and an elementwise "
                          "kernel, without extra terms or non-diagonal Lindblad operators")
+    h = gen._h_action  # E(k) or None: the kernel holds the diagonal of H
     decay = None if gen.kernel is None else np.exp(gen.kernel * dt)
     if h is None:
         yield from _march(rho0, lambda _, r: r * decay, n_steps, record_stride)
@@ -325,8 +332,19 @@ class IntegratorConfig:
 
 @dataclass
 class EvolutionResult:
+    """Records of one run; a certified step's `states` are built on first use."""
+
     times: np.ndarray
-    states: list[DensityMatrix]
+    matrices: list[np.ndarray]
+    evolver: str
+    _states: list[DensityMatrix] | None = None
+
+    @property
+    def states(self) -> list[DensityMatrix]:
+        if self._states is None:
+            self._states = [_validated(m, t, "check the generator")
+                            for t, m in zip(self.times, self.matrices)]
+        return self._states
 
     def final(self) -> DensityMatrix:
         return self.states[-1]
@@ -344,49 +362,90 @@ def _rk4_step(gen: LindbladGenerator, rho: np.ndarray, dt: float) -> np.ndarray:
     return rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _positivity_hint(gen: LindbladGenerator, dt: float) -> str:
-    """What to try when gen's states lose positivity under RK4 steps of dt.
+def _positivity_hint(gen: LindbladGenerator, dt: float, evolver: str) -> str:
+    """What to try when gen's states lose positivity under steps of dt.
 
     A kernel rate beyond RK4's stability interval, |dt K| > 2.785 on the
-    real axis, makes the step itself blow up, whatever the generator.
+    real axis, makes an RK4 step itself blow up, whatever the generator;
+    the other evolvers step exactly.
     """
     stiffness = 0.0 if gen.kernel is None else dt * float(np.max(np.abs(gen.kernel)))
-    if stiffness > RK4_STABILITY_LIMIT:
+    if evolver == "rk4" and stiffness > RK4_STABILITY_LIMIT:
         return (f"reduce dt: dt * max|K| = {stiffness:.3g} exceeds RK4's "
                 f"stability limit {RK4_STABILITY_LIMIT}")
     if any(t.label == "damping" for t in gen.extra_terms):
         return ("the damping term gamma [x, {p, rho}] is not completely positive; "
                 "lindblad_repair_caldeira_leggett is the completely positive form")
-    return "reduce dt or check the generator"
+    return "reduce dt or check the generator" if evolver == "rk4" else "check the generator"
 
 
-def _validated(rho: np.ndarray, t: float, hint: str) -> DensityMatrix:
+def _validated(rho: np.ndarray, t: float, hint: str,
+               certified: bool = False) -> np.ndarray | DensityMatrix:
+    """rho with its trace checked and, unless its step is certified completely
+    positive, as a DensityMatrix: one eigendecomposition for positivity."""
     tr_err = abs(np.trace(rho) - 1.0)
     if not np.isfinite(tr_err) or tr_err > TRACE_DRIFT_TOL:
         raise PositivityLossError(f"trace drifted by {tr_err:.3e} at t={t:.6g}; {hint}")
+    if certified:
+        return rho
     try:
         return DensityMatrix(rho, tol=1e-6, clamp=POSITIVITY_DRIFT_TOL)
     except ValueError as exc:
         raise PositivityLossError(f"{exc} at t={t:.6g}; {hint}") from exc
 
 
+def _record(gen: LindbladGenerator, rho0: DensityMatrix, cfg: IntegratorConfig,
+            evolver: str, march: Iterator[tuple[int, np.ndarray]],
+            certified: bool) -> EvolutionResult:
+    """The records of march after step 0, which is rho0, each validated once."""
+    if rho0.dim != gen.dim:
+        raise ValueError("state dimension does not match the generator")
+    hint = _positivity_hint(gen, cfg.dt, evolver)
+    records = [_validated(rho, k * cfg.dt, hint, certified)
+               for k, rho in itertools.islice(march, 1, None)]
+    if certified:
+        return EvolutionResult(cfg.record_times(), [rho0.matrix] + records, evolver)
+    states = [rho0] + records
+    return EvolutionResult(cfg.record_times(), [s.matrix for s in states], evolver, states)
+
+
 def evolve(gen: LindbladGenerator, rho0: DensityMatrix,
            cfg: IntegratorConfig) -> EvolutionResult:
-    """Integrate the master equation, recording every record_stride-th step.
+    """Integrate the master equation by RK4, recording every record_stride-th step.
 
     Each recorded state is validated once: its trace, then one
     eigendecomposition for positivity and the clamp of round-off negatives.
-    Violations raise PositivityLossError.
+    Violations raise PositivityLossError.  Tests check `propagate` against it.
     """
-    if rho0.dim != gen.dim:
-        raise ValueError("state dimension does not match the generator")
-    states = []
-    hint = _positivity_hint(gen, cfg.dt)
-    for k, rho in _march(np.array(rho0.matrix),
-                         lambda _, r: _rk4_step(gen, r, cfg.dt),
-                         cfg.n_steps, cfg.record_stride):
-        states.append(rho0 if k == 0 else _validated(rho, k * cfg.dt, hint))
-    return EvolutionResult(cfg.record_times(), states)
+    march = _march(np.array(rho0.matrix), lambda _, r: _rk4_step(gen, r, cfg.dt),
+                   cfg.n_steps, cfg.record_stride)
+    return _record(gen, rho0, cfg, "rk4", march, certified=False)
+
+
+def propagate(gen: LindbladGenerator, rho0: DensityMatrix,
+              cfg: IntegratorConfig) -> EvolutionResult:
+    """Step rho0 by the exact step the generator's structure allows, else RK4.
+
+    E(k) plus an elementwise kernel takes `split_march` ("split_step"), any
+    other generator of dim <= EXACT_MAX_DIM its propagator P = expm(L dt)
+    ("exact"), a larger one `evolve` ("rk4").  A step is certified
+    completely positive once per run, by a positive semidefinite Schur
+    factor exp(K dt) or by check_complete_positivity(P); a certified step's
+    records have only their trace checked.
+    """
+    if gen.splits:
+        f = None if gen.kernel is None else np.exp(gen.kernel * cfg.dt)
+        cp = f is None or (np.max(np.abs(f - f.conj().T)) <= CP_EIGENVALUE_TOL
+                           and np.linalg.eigvalsh(f)[0] >= -CP_EIGENVALUE_TOL)
+        march = split_march(gen, rho0.matrix, cfg.dt, cfg.n_steps, cfg.record_stride)
+        return _record(gen, rho0, cfg, "split_step", march, cp)
+    if gen.dim > EXACT_MAX_DIM:
+        return evolve(gen, rho0, cfg)
+    from scipy.linalg import expm
+    p = expm(gen.superoperator() * cfg.dt)
+    march = _march(rho0.matrix, lambda _, r: (p @ r.reshape(-1)).reshape(r.shape),
+                   cfg.n_steps, cfg.record_stride)
+    return _record(gen, rho0, cfg, "exact", march, check_complete_positivity(p)["cp"])
 
 
 def convergence_check(gen: LindbladGenerator, rho0: DensityMatrix,

@@ -16,7 +16,7 @@ the kernel K of one of two regimes:
 elementwise dissipator and the free kinetic term p^2/2M as a grid operator
 that is diagonal in momentum (spectral, Fourier).  So the generator is
 "E(k) plus an elementwise x-kernel", and `collisional_evolve_split_step`
-runs the engine's split step (`lindblad.split_march`) on it in both
+and `lindblad.propagate` step it by `lindblad.split_march` in both
 regimes: the kinetic term is exact as phases in momentum space, the
 scattering as the pointwise factor exp(K dt) in position space.  The state
 stays in momentum space between records, so adjacent kinetic half steps
@@ -77,13 +77,6 @@ def collisional_generator(params: CollisionalParams, grid: Grid1D,
         raise ValueError(
             f"grid too coarse: {packet_width / grid.dx:.1f} points across the "
             f"packet width, need >= {MIN_POINTS_PER_WIDTH}")
-    return _generator(params, grid, include_free_dynamics)
-
-
-def _generator(params: CollisionalParams, grid: Grid1D,
-               include_free_dynamics: bool) -> LindbladGenerator:
-    # the split step builds its generator here, not through
-    # collisional_generator, whose calls perfbench counts as model builds
     h = grid.kinetic_hamiltonian(params.mass) if include_free_dynamics else None
     return LindbladGenerator(h, kernel=scattering_kernel(params, grid))
 
@@ -107,7 +100,7 @@ def collisional_evolve_split_step(params: CollisionalParams, grid: Grid1D,
     the position representation.  Returns (times, raw state matrices).
     """
     rho = np.outer(psi0.amplitudes, psi0.amplitudes.conj())
-    gen = _generator(params, grid, include_free_dynamics)
+    gen = collisional_generator(params, grid, include_free_dynamics)
     steps, records = zip(*split_march(gen, rho, dt, n_steps, record_stride))
     return np.array(steps, dtype=float) * dt, list(records)
 

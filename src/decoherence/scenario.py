@@ -27,7 +27,7 @@ from .lindblad import (
     LindbladGenerator,
     PositivityLossError,
     QuadratureError,
-    evolve,
+    propagate,
 )
 from .models import (
     CavityCatParams,
@@ -37,7 +37,7 @@ from .models import (
     caldeira_leggett_generator,
     cat_decoherence_time,
     cat_overlap,
-    collisional_evolve_split_step,
+    collisional_generator,
     qbm_generator,
     spin_spin_coherence_factor,
 )
@@ -568,9 +568,13 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path = ".") -> dict:
 
 
 def _generator(cfg: ScenarioConfig, grid: Grid1D | None) -> LindbladGenerator:
-    """The master-equation generator of a qbm, caldeira_leggett, spin_boson
-    or custom_lindblad scenario."""
+    """The master-equation generator of a collisional, qbm, caldeira_leggett,
+    spin_boson or custom_lindblad scenario."""
     p = cfg.params
+    if cfg.model == "collisional":
+        params = CollisionalParams(Lambda=p["lambda"], Gamma_tot=p["gamma_tot"],
+                                   regime=p["regime"], mass=p["mass"])
+        return collisional_generator(params, grid, include_free_dynamics=p["free_dynamics"])
     if cfg.model == "spin_boson":
         return spin_boson_born_markov(SpinBosonParams(
             omega0=0.0, Delta0=p["delta0"], J=ohmic_coupling(p["alpha"], p["cutoff"]),
@@ -590,8 +594,8 @@ def _run_master_equation(cfg: ScenarioConfig, summary: dict, out_dir: Path) -> d
     Grid models (collisional, qbm, caldeira_leggett) start from a packet
     state and add position densities and Wigner snapshots; qubit models
     (spin_boson, custom_lindblad) start from a Bloch state and add the
-    trajectory ensemble.  collisional runs the exact split step, every
-    other model RK4 through `evolve`.
+    trajectory ensemble.  `lindblad.propagate` picks the evolver from the
+    generator's structure and `model_info["evolver"]` names it.
     """
     integ = IntegratorConfig(**cfg.integrator)
     quantities = cfg.outputs["quantities"]
@@ -605,34 +609,20 @@ def _run_master_equation(cfg: ScenarioConfig, summary: dict, out_dir: Path) -> d
     else:
         psi0 = bloch_state(st["theta"], st["phi"])
 
-    if cfg.model == "collisional":
-        p = cfg.params
-        params = CollisionalParams(Lambda=p["lambda"], Gamma_tot=p["gamma_tot"],
-                                   regime=p["regime"], mass=p["mass"])
-        times, mats = collisional_evolve_split_step(
-            params, grid, psi0, integ.dt, integ.n_steps,
-            record_stride=integ.record_stride,
-            include_free_dynamics=p["free_dynamics"])
-        # the split step returns unvalidated matrices
-        states = [DensityMatrix(m, tol=1e-5, clamp=1e-5) for m in mats] \
-            if "entropy" in quantities else None
-        summary["model_info"]["evolver"] = "split_step"
-    else:
-        gen = _generator(cfg, grid)
-        res = evolve(gen, psi0.density(), integ)
-        times, states = res.times, res.states
-        mats = [s.matrix for s in states]
-        if grid is not None:
-            summary["model_info"]["evolver"] = "rk4"
-        if cfg.model == "spin_boson":
-            dephasing = next(t for t in gen.extra_terms if t.label == "dephasing")
-            summary["model_info"]["dephasing_strength"] = float(-np.real(dephasing.coeff))
+    gen = _generator(cfg, grid)
+    rho0 = psi0.density()
+    res = propagate(gen, rho0, integ)
+    times, mats = res.times, res.matrices
+    summary["model_info"]["evolver"] = res.evolver
+    if cfg.model == "spin_boson":
+        dephasing = next(t for t in gen.extra_terms if t.label == "dephasing")
+        summary["model_info"]["dephasing_strength"] = float(-np.real(dephasing.coeff))
 
     series: dict = {"t": list(times)}
     if "purity" in quantities:
         series["purity"] = [float(np.real(np.trace(m @ m))) for m in mats]
     if "entropy" in quantities:
-        series["entropy"] = [measures.von_neumann_entropy(s) for s in states]
+        series["entropy"] = [measures.von_neumann_entropy(s) for s in res.states]
     if "coherence_magnitude" in quantities and grid is not None:
         # beyond the packets' separation, or two widths of a single packet
         threshold = st["x0"] if st["kind"] == "two_packet_cat" else 2.0 * st["sigma"]
@@ -668,7 +658,7 @@ def _run_master_equation(cfg: ScenarioConfig, summary: dict, out_dir: Path) -> d
             t_final=integ.t_final,
             seed=tj.get("seed") if tj.get("seed") is not None else cfg.seed,
             record_stride=_trajectory_stride(cfg.integrator, tj))
-        stats = ensemble_statistics(unravel(gen, states[0], tcfg), SIGMA_X)
+        stats = ensemble_statistics(unravel(gen, rho0, tcfg), SIGMA_X)
         path = out_dir / f"{cfg.name}_trajectories.csv"
         _write_csv(path, ["t", "mean_sx", "stderr_sx"],
                    [stats["times"], stats["mean"], stats["stderr"]])

@@ -77,11 +77,11 @@ class StepInstabilityError(RuntimeError):
     """Per-trajectory trace drift exceeded tolerance; dt is too large."""
 
 
-def _gaussian_increments(base: np.random.Philox, traj_index: int, n_steps: int,
+def _gaussian_increments(seed: int, traj_index: int, n_steps: int,
                          n_ops: int, dt: float) -> np.ndarray:
-    """Wiener increments for one trajectory from its own substream: the
-    ensemble's Philox generator jumped traj_index times."""
-    stream = np.random.Generator(base.jumped(traj_index))
+    """Wiener increments (n_steps, n_ops) of one trajectory from its own
+    substream: Philox(key=seed) jumped traj_index times, by the counter."""
+    stream = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, traj_index, 0]))
     u = stream.random((n_steps, n_ops))
     # inverse-CDF transform pins the mapping from uniforms to Gaussians
     return ndtri(u) * math.sqrt(dt)
@@ -114,16 +114,16 @@ def unravel(gen: LindbladGenerator, rho0: DensityMatrix,
     n, dim = cfg.n_trajectories, gen.dim
     batch0 = np.broadcast_to(rho0.matrix, (n, dim, dim)).copy()
     states = np.empty((n, len(steps), dim, dim), dtype=complex)
-    base = np.random.Philox(key=cfg.seed)
-    dw = np.stack([_gaussian_increments(base, j, n_steps, len(noise_ops), cfg.dt)
-                   for j in range(n)])  # (n, n_steps, n_ops)
+    dw = np.empty((n_steps, len(noise_ops), n))  # step-major: each step's row is contiguous
+    for j in range(n):
+        dw[..., j] = _gaussian_increments(cfg.seed, j, n_steps, len(noise_ops), cfg.dt)
 
     def euler_maruyama(k: int, rho: np.ndarray) -> np.ndarray:
         new = rho + cfg.dt * gen.apply(rho)
         for mu, (sr, kernel, l) in enumerate(noise_ops):
             w = kernel * rho if l is None else l @ rho + rho @ l.conj().T
             w -= np.einsum("nii->n", w)[:, None, None] * rho
-            new += sr * dw[:, k, mu][:, None, None] * w
+            new += sr * dw[k, mu][:, None, None] * w
         return new
 
     for pos, (k, rho) in enumerate(_march(batch0, euler_maruyama, n_steps,

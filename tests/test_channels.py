@@ -112,6 +112,13 @@ class TestCompletePositivity:
         assert not res["cp"]
         assert res["min_choi_eigenvalue"] == pytest.approx(-0.5, abs=1e-12)
 
+    def test_map_that_breaks_hermiticity_is_not_cp(self):
+        # rho -> (1 + 0.5i) rho: the Hermitian part of its Choi matrix is
+        # positive semidefinite, the matrix itself is not Hermitian
+        res = check_complete_positivity((1.0 + 0.5j) * np.eye(4))
+        assert not res["cp"]
+        assert res["min_choi_eigenvalue"] > -1e-12
+
     def test_unitary_conjugation_is_cp(self, rng):
         u = random_unitary(rng, 3).matrix
         s = np.kron(u, u.conj())

@@ -1,5 +1,6 @@
 """The shared evolution engine: one generator right-hand side, one record
-schedule and one validation pass for evolve, the split step and unravel."""
+schedule and one validation pass for evolve, the split step and unravel,
+and the one chooser, propagate, that picks the step from the generator."""
 
 import csv
 import importlib.util
@@ -18,6 +19,7 @@ from decoherence.lindblad import (
     LindbladGenerator,
     PositivityLossError,
     evolve,
+    propagate,
     pure_dephasing_qubit,
     record_steps,
     split_march,
@@ -266,12 +268,116 @@ class TestSingleValidationPass:
             # the initial state is validated when it is built, not again
             assert eig_calls == ["eigh"] * (len(res.states) - 1)
 
+    def test_certified_step_decomposes_once_per_run(self, rng, eig_calls):
+        grid = Grid1D(16, -2.0, 2.0)
+        cases = [
+            (collisional_generator(CollisionalParams(Lambda=0.5), grid),
+             grid.gaussian_packet(0.0, 0.6).density(), "split_step"),
+            (LindbladGenerator(random_hermitian(rng, 2), [(0.3, SIGMA_Z)]),
+             random_density(rng, 2), "exact"),
+        ]
+        for gen, rho0, evolver in cases:
+            eig_calls.clear()
+            res = propagate(gen, rho0, IntegratorConfig(1e-3, 0.02, 4))
+            # the certificate; each record then has its trace checked only
+            assert res.evolver == evolver and eig_calls == ["eigvalsh"]
+
+
+class TestPropagate:
+    """propagate picks split step, exact propagator or RK4 from the generator."""
+
+    @staticmethod
+    def oracle(gen, rho0, t):
+        s = gen.superoperator()
+        return (scipy.linalg.expm(s * t) @ rho0.matrix.reshape(-1)).reshape(rho0.dim, -1)
+
+    def test_split_step_matches_the_exponential_oracle(self):
+        grid = Grid1D(16, -2.0, 2.0)
+        gen = collisional_generator(CollisionalParams(Lambda=0.5), grid)
+        rho0 = grid.gaussian_packet(0.0, 0.6).density()
+        res = propagate(gen, rho0, IntegratorConfig(1e-2, 0.5, 10))
+        assert res.evolver == "split_step"
+        for t, got in zip(res.times, res.matrices):
+            # Strang splitting of the kinetic term: an O(dt^2) error
+            assert np.max(np.abs(got - self.oracle(gen, rho0, t))) < 1e-5
+
+    def test_exact_step_matches_the_oracle_and_rk4(self, rng):
+        diag = Operator(np.diag(rng.normal(size=3) + 1j * rng.normal(size=3)))
+        gen = LindbladGenerator(random_hermitian(rng, 3),
+                                [(0.7, diag), (0.4, Operator(np.diag(np.ones(2), k=1)))])
+        rho0 = random_density(rng, 3)
+        cfg = IntegratorConfig(1e-2, 0.5, 10)
+        res, rk4 = propagate(gen, rho0, cfg), evolve(gen, rho0, cfg)
+        assert res.evolver == "exact"
+        for t, got, want in zip(res.times, res.matrices, rk4.states):
+            assert_allclose(got, self.oracle(gen, rho0, t), rtol=0, atol=1e-13)
+            assert_allclose(got, want.matrix, rtol=0, atol=1e-7)
+
+    @pytest.mark.parametrize("dim, evolver", [(16, "exact"), (17, "rk4")])
+    def test_rk4_above_the_exact_size(self, rng, monkeypatch, dim, evolver):
+        gen = LindbladGenerator(random_hermitian(rng, dim),
+                                [(0.3, Operator(np.diag(np.ones(dim - 1), k=1)))])
+        rho0 = random_density(rng, dim)
+        cfg = IntegratorConfig(1e-3, 0.02, 5)
+        rk4 = evolve(gen, rho0, cfg)
+        if dim > 16:
+            def refuse(self):
+                raise AssertionError("superoperator built above the exact size")
+            monkeypatch.setattr(LindbladGenerator, "superoperator", refuse)
+        res = propagate(gen, rho0, cfg)
+        assert res.evolver == evolver
+        for got, want in zip(res.states, rk4.states):
+            assert_allclose(got.matrix, want.matrix, rtol=0, atol=1e-10)
+
+    def test_non_positive_split_factor_raises(self):
+        # exp(K dt) of K = [[0, 1], [1, 0]] has the eigenvalue 1 - e^dt < 0
+        gen = LindbladGenerator(None, kernel=[[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(PositivityLossError, match="negative eigenvalue"):
+            propagate(gen, KET_PLUS.density(), IntegratorConfig(1e-2, 1.0))
+
+    def test_only_rk4_blames_its_stability_limit(self):
+        # anti-dephasing beyond the sigma_z dephasing: not completely
+        # positive, with dt * max|K| = 4 past RK4's limit
+        gen = LindbladGenerator(None, [(20.0, SIGMA_Z)],
+                                extra_terms=[ExtraTerm("double_comm", SIGMA_Z, SIGMA_Z, 20.0)])
+        cfg = IntegratorConfig(0.1, 1.0)
+        with pytest.raises(PositivityLossError, match="RK4's stability limit"):
+            evolve(gen, KET_PLUS.density(), cfg)
+        with pytest.raises(PositivityLossError) as exc:
+            propagate(gen, KET_PLUS.density(), cfg)
+        assert "negative eigenvalue" in str(exc.value)
+        assert "stability limit" not in str(exc.value)
+
+    @pytest.mark.parametrize("name, evolver", [
+        ("two_packet_collisional", "split_step"),
+        ("dephasing_qubit", "exact"),
+        ("sw_twin", "split_step"),
+        ("qbm_packet", "rk4"),
+        ("traj_qubit", "split_step"),
+    ])
+    def test_benchmark_scenarios_record_their_evolver(self, tmp_path, monkeypatch,
+                                                      name, evolver):
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        import workloads
+        texts = workloads.Scenarios(ROOT, 1, tmp_path).generated()
+        text = texts.get(name) or (ROOT / "scenarios" / f"{name}.cfg").read_text()
+        cfg = parse_config(text)
+        # the choice depends on the generator alone: four steps decide it
+        cfg.integrator = {"dt": cfg.integrator["dt"], "t_final": 4 * cfg.integrator["dt"],
+                          "record_stride": 1}
+        cfg.outputs = {**cfg.outputs, "fit": "none", "wigner_times": ()}
+        summary = run_scenario(cfg, out_dir=tmp_path)
+        assert summary["model_info"]["evolver"] == evolver
+
 
 class TestSameRejectionOnBothPaths:
     def test_non_hermitian_hamiltonian(self):
         gen = LindbladGenerator(Operator([[0, 0.05], [0, 0]]), [(0.5, SIGMA_Z)])
         with pytest.raises(PositivityLossError):
             evolve(gen, KET_PLUS.density(), IntegratorConfig(1e-3, 1.0, 100))
+        # its exact step is completely positive, but does not keep the trace
+        with pytest.raises(PositivityLossError, match="trace drifted"):
+            propagate(gen, KET_PLUS.density(), IntegratorConfig(1e-3, 1.0, 100))
         with pytest.raises(ValueError, match="Hermitian Hamiltonian"):
             unravel(gen, KET_PLUS.density(),
                     TrajectoryConfig(4, dt=1e-3, t_final=0.1, seed=1))
@@ -279,8 +385,9 @@ class TestSameRejectionOnBothPaths:
     def test_state_of_the_wrong_dimension(self):
         gen = pure_dephasing_qubit(0.1)
         for rho0 in (DensityMatrix([[1.0]]), DensityMatrix.maximally_mixed(3)):
-            with pytest.raises(ValueError, match="state dimension does not match"):
-                evolve(gen, rho0, IntegratorConfig(1e-3, 0.01))
+            for evolver in (evolve, propagate):
+                with pytest.raises(ValueError, match="state dimension does not match"):
+                    evolver(gen, rho0, IntegratorConfig(1e-3, 0.01))
             with pytest.raises(ValueError, match="state dimension does not match"):
                 unravel(gen, rho0, TrajectoryConfig(4, dt=1e-3, t_final=0.01, seed=1))
 

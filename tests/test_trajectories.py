@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import ndtri
 
 from decoherence.core import KET_0, KET_PLUS, Operator, SIGMA_X, SIGMA_Z
 from decoherence.lindblad import (
@@ -123,13 +124,13 @@ class TestDeterminism:
         assert np.array_equal(a.conditioned_states, b.conditioned_states)
 
     def test_trajectories_share_one_seeded_generator(self):
-        # jumping the ensemble's generator leaves it unchanged, so trajectory
-        # j draws what a generator seeded afresh and jumped j times draws
+        # trajectory j draws what the ensemble's seeded generator, jumped j
+        # times, draws
         base = np.random.Philox(key=1234)
-        for j in (3, 0, 2, 1):
-            assert np.array_equal(
-                _gaussian_increments(base, j, 50, 2, 1e-3),
-                _gaussian_increments(np.random.Philox(key=1234), j, 50, 2, 1e-3))
+        for j in (3, 0, 2, 1, 1999):
+            u = np.random.Generator(base.jumped(j)).random((50, 2))
+            assert np.array_equal(_gaussian_increments(1234, j, 50, 2, 1e-3),
+                                  ndtri(u) * math.sqrt(1e-3))
 
     def test_different_seeds_differ(self):
         a = unravel(DEPHASING, KET_PLUS.density(),
@@ -142,11 +143,10 @@ class TestDeterminism:
 def matmul_unravel(gen, rho0, cfg):
     """Reference Euler-Maruyama loop, one trajectory at a time, with every
     measurement term in matmul form L rho + rho L^dag."""
-    base = np.random.Philox(key=cfg.seed)
     recorded = set(record_steps(cfg.n_steps, cfg.record_stride))
     states = []
     for j in range(cfg.n_trajectories):
-        dw = _gaussian_increments(base, j, cfg.n_steps, len(gen.lindblad_ops), cfg.dt)
+        dw = _gaussian_increments(cfg.seed, j, cfg.n_steps, len(gen.lindblad_ops), cfg.dt)
         rho = rho0.matrix.copy()
         path = [rho]
         for k in range(cfg.n_steps):
