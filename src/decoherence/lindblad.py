@@ -164,9 +164,11 @@ class LindbladGenerator:
             terms.append(-1j * np.subtract.outer(h, h.conj()))
         self.kernel = sum(terms[1:], terms[0]) if terms else None
         self._h_is_hermitian = self._h_action is None or self._h_action.is_hermitian(1e-12)
-        #: E(k) plus an elementwise kernel, which split_march steps exactly
+        k = self.kernel
+        #: E(k) plus a Hermitian elementwise kernel, which split_march steps exactly
         self.splits = not (self.extra_terms or self._dense) and (
-            self._h_action is None or isinstance(self._h_action, GridOperator))
+            self._h_action is None or isinstance(self._h_action, GridOperator)) and (
+            k is None or np.max(np.abs(k - k.conj().T)) <= CP_EIGENVALUE_TOL)
 
     @classmethod
     def from_first_standard_form(cls, hamiltonian: Operator | None,
@@ -264,47 +266,76 @@ def _march(state: np.ndarray, step: Callable[[int, np.ndarray], np.ndarray],
 
 def split_march(gen: LindbladGenerator, rho0: np.ndarray, dt: float, n_steps: int,
                 record_stride: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Strang-split stepping of H = E(k) + V(x) plus an elementwise kernel K.
+    """Strang-split stepping of H = E(k) + V(x) plus a Hermitian elementwise kernel K.
 
-    The generator folds the potential into its kernel as -i(V_i - V_j^*);
-    that part of a step is the exact factor exp(K dt) in the position
-    representation, and the kinetic part is the exact phase
-    exp(-i(E_k - E_k'^*) dt) in the momentum representation.  Between
-    records the state stays in the momentum representation with half a
-    kinetic phase pending, so adjacent half steps fuse: a step is one 2-D
-    FFT to x, the factor, one 2-D FFT back and the full phase.  Yields
-    (k, position-representation state) at every recorded step, as _march
-    does, step 0 being rho0.  A generator that does not split
-    (`LindbladGenerator.splits`) raises ValueError.
+    The generator folds the potential into its kernel as -i(V_i - V_j^*).  A
+    step is the exact factor F = exp(K dt) in position and the exact phase
+    Phi = exp(-i(E_k - E_k'^*) dt) in momentum.  Both keep rho Hermitian, so
+    the step carries the real R = Re rho + Im rho (rho = sym R + i antisym R):
+    F o rho becomes F_r o R + F_i o R^T, and Phi o rho on S = rfft2(R) becomes
+    P o S + Q o S^T, P = (Phi + Phi^T)/2, Q = i(Phi^T - Phi)/2.  S keeps half a
+    phase pending, so half steps fuse: a step is irfft2, F, rfft2 and Phi.
+    Yields (k, state) at every recorded step, as _march does: rho0, then
+    exactly Hermitian matrices.  A generator that does not split
+    (`LindbladGenerator.splits`) or a non-Hermitian rho0 raises ValueError.
     """
     if not gen.splits:
-        raise ValueError("the split step needs H = E(k) + V(x) and an elementwise "
-                         "kernel, without extra terms or non-diagonal Lindblad operators")
+        raise ValueError("the split step needs H = E(k) + V(x) and a Hermitian kernel, "
+                         "without extra terms or non-diagonal Lindblad operators")
+    if np.max(np.abs(rho0 - rho0.conj().T)) > CP_EIGENVALUE_TOL:
+        raise ValueError("the split step needs a Hermitian rho0")
     h = gen._h_action  # E(k) or None: the kernel holds the diagonal of H
-    decay = None if gen.kernel is None else np.exp(gen.kernel * dt)
+    decay = np.exp(dt * (0.0 if gen.kernel is None else gen.kernel))
     if h is None:
         yield from _march(rho0, lambda _, r: r * decay, n_steps, record_stride)
         return
 
     # the momentum representation is fft2(rho): its column q carries the
     # wavenumber of FFT mode -q, so columns see E at -q
-    e = h.kinetic
-    e_col = e[-np.arange(e.size)]
+    n, m = gen.dim, gen.dim // 2 + 1
+    e, e_col = h.kinetic, h.kinetic[-np.arange(n)]
     phase = np.exp(-1j * dt * np.subtract.outer(e, e_col.conj()))
-    half_rows, half_cols = np.exp(-0.5j * dt * e), np.exp(0.5j * dt * e_col.conj())
+    half = np.exp(-0.5j * dt * e)[:, None] * np.exp(0.5j * dt * e_col.conj())
+    # S^T[i, j] = S[j, i], or conj S[-j, -i] where column i of fft2 is dropped
+    row, col = np.indices((n, m))
+    mirrored = row >= m
+    gather = np.where(mirrored, (-col % n) * m + n - row, col * m + row)
+    f_r, f_i = decay.real, decay.imag if decay.imag.any() else None
+
+    def kinetic(phi: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        p, q = 0.5 * (phi + phi.T)[:, :m], 0.5j * (phi.T - phi)[:, :m]
+
+        def act(s: np.ndarray) -> np.ndarray:  # in place
+            st = s.take(gather)
+            np.conjugate(st, out=st, where=mirrored)
+            st *= q
+            s *= p
+            s += st
+            return s
+        return act
+
+    full, unhalf = kinetic(phase), kinetic(0.5 / half)  # records take R / 2
 
     def step(_, s: np.ndarray) -> np.ndarray:
-        r = scipy.fft.ifft2(s)
-        if decay is not None:
-            r *= decay
-        s = scipy.fft.fft2(r, overwrite_x=True)
-        s *= phase
-        return s
+        r = scipy.fft.irfft2(s, s=(n, n))
+        r_t = None if f_i is None else f_i * r.T
+        r *= f_r
+        if r_t is not None:
+            r += r_t
+        return full(scipy.fft.rfft2(r))
 
-    start = scipy.fft.fft2(rho0) * half_rows[:, None] * half_cols
+    def record(s: np.ndarray) -> np.ndarray:
+        r = scipy.fft.irfft2(unhalf(s.copy()), s=(n, n))
+        # after the temporaries: else 35 MiB of freed records stayed resident (n = 256)
+        rho = np.empty((n, n), dtype=complex)
+        np.add(r, r.T, out=rho.real)
+        np.subtract(r, r.T, out=rho.imag)
+        return rho
+
+    start = kinetic(half)(scipy.fft.rfft2(rho0.real + rho0.imag))
     for k, s in _march(start, step, n_steps, record_stride):
         # periodic boundaries: packets must stay clear of the grid edges
-        yield k, rho0 if k == 0 else scipy.fft.ifft2(s / half_rows[:, None] / half_cols)
+        yield k, rho0 if k == 0 else record(s)
 
 
 @dataclass(frozen=True)
@@ -435,8 +466,7 @@ def propagate(gen: LindbladGenerator, rho0: DensityMatrix,
     """
     if gen.splits:
         f = None if gen.kernel is None else np.exp(gen.kernel * cfg.dt)
-        cp = f is None or (np.max(np.abs(f - f.conj().T)) <= CP_EIGENVALUE_TOL
-                           and np.linalg.eigvalsh(f)[0] >= -CP_EIGENVALUE_TOL)
+        cp = f is None or np.linalg.eigvalsh(f)[0] >= -CP_EIGENVALUE_TOL
         march = split_march(gen, rho0.matrix, cfg.dt, cfg.n_steps, cfg.record_stride)
         return _record(gen, rho0, cfg, "split_step", march, cp)
     if gen.dim > EXACT_MAX_DIM:

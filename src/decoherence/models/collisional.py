@@ -17,10 +17,10 @@ elementwise dissipator and the free kinetic term p^2/2M as a grid operator
 that is diagonal in momentum (spectral, Fourier).  So the generator is
 "E(k) plus an elementwise x-kernel", and `collisional_evolve_split_step`
 and `lindblad.propagate` step it by `lindblad.split_march` in both
-regimes: the kinetic term is exact as phases in momentum space, the
-scattering as the pointwise factor exp(K dt) in position space.  The state
-stays in momentum space between records, so adjacent kinetic half steps
-fuse into one phase.
+regimes: the kinetic term exact as phases in momentum space, the scattering
+as the pointwise factor exp(K dt) in position space, both on the real
+matrix Re rho + Im rho by real FFTs.  The state stays in momentum space
+between records, so adjacent kinetic half steps fuse into one phase.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.linalg
 from numpy.testing import assert_allclose
 
@@ -18,6 +19,7 @@ from decoherence.lindblad import (
     IntegratorConfig,
     LindbladGenerator,
     PositivityLossError,
+    _march,
     evolve,
     propagate,
     pure_dephasing_qubit,
@@ -123,8 +125,23 @@ class TestDiagonalHamiltonian:
                         rtol=0, atol=1e-12)
 
 
+def complex_split_march(gen, rho0, dt, n_steps, record_stride):
+    """The split step on the complex rho: two complex 2-D FFTs per step."""
+    e = gen._h_action.kinetic
+    e_col = e[-np.arange(e.size)]
+    phase = np.exp(-1j * dt * np.subtract.outer(e, e_col.conj()))
+    half = np.exp(-0.5j * dt * e)[:, None] * np.exp(0.5j * dt * e_col.conj())
+    decay = 1.0 if gen.kernel is None else np.exp(gen.kernel * dt)
+    march = _march(scipy.fft.fft2(rho0) * half,
+                   lambda _, s: scipy.fft.fft2(scipy.fft.ifft2(s) * decay) * phase,
+                   n_steps, record_stride)
+    for k, s in march:
+        yield k, rho0 if k == 0 else scipy.fft.ifft2(s / half)
+
+
 class TestSplitMarch:
     GRID = Grid1D(16, -2.0, 2.0)
+    SKEW = np.subtract.outer(GRID.x, GRID.x)  # x_i - x_j, not conjugate symmetric
 
     def rho0(self):
         return self.GRID.gaussian_packet(0.0, 0.6).density().matrix
@@ -137,10 +154,65 @@ class TestSplitMarch:
                           [(0.3, Operator(np.diag(np.ones(15), k=1)))]),
         LindbladGenerator(Operator(GRID.kinetic_hamiltonian(1.0).matrix),
                           [(0.3, GRID.position_operator())]),
-    ], ids=["extra_term", "non_diagonal_lindblad", "dense_hamiltonian"])
+        LindbladGenerator(GRID.kinetic_hamiltonian(1.0), kernel=-0.5 * SKEW ** 2 + 0.3 * SKEW),
+    ], ids=["extra_term", "non_diagonal_lindblad", "dense_hamiltonian",
+            "non_hermitian_kernel"])
     def test_rejects_what_it_cannot_split(self, gen):
+        assert not gen.splits
         with pytest.raises(ValueError, match="split step"):
             next(split_march(gen, self.rho0(), 0.01, 4, 1))
+
+    def test_non_hermitian_kernel_fails_positivity_through_propagate(self):
+        gen = LindbladGenerator(self.GRID.kinetic_hamiltonian(1.0),
+                                kernel=-0.5 * self.SKEW ** 2 + 0.3 * self.SKEW)
+        rho0 = self.GRID.gaussian_packet(0.0, 0.6).density()
+        with pytest.raises(PositivityLossError):
+            propagate(gen, rho0, IntegratorConfig(1e-2, 0.5, 10))
+
+    def test_rejects_a_non_hermitian_state(self):
+        gen = collisional_generator(CollisionalParams(Lambda=0.5), self.GRID)
+        rho0 = self.rho0().copy()
+        rho0[0, 1] += 1e-3
+        with pytest.raises(ValueError, match="Hermitian rho0"):
+            next(split_march(gen, rho0, 0.01, 4, 1))
+
+    @pytest.mark.parametrize("n", [16, 15], ids=["even_n", "odd_n"])
+    @pytest.mark.parametrize("odd_part", [0.0, 0.7], ids=["even_e", "non_even_e"])
+    @pytest.mark.parametrize("potential", [None, 0.5, 0.5 - 0.2j],
+                             ids=["no_v", "real_v", "complex_v"])
+    @pytest.mark.parametrize("rate", [0.0, 0.4], ids=["no_kernel", "kernel"])
+    def test_matches_the_complex_step(self, rng, n, odd_part, potential, rate):
+        grid = Grid1D(n, -2.0, 2.0)
+        v = None if potential is None else potential * grid.x ** 2
+        ham = GridOperator(grid.k ** 2 / 2.0 + odd_part * grid.k, v)
+        ops = [(rate, grid.position_operator())] if rate else []
+        gen = LindbladGenerator(ham, ops)
+        assert gen.splits and (gen.kernel is None) == (v is None and not rate)
+        rho0 = random_density(rng, n).matrix
+        got = list(split_march(gen, rho0, 0.05, 12, 5))
+        want = list(complex_split_march(gen, rho0, 0.05, 12, 5))
+        assert [k for k, _ in got] == [k for k, _ in want] == [0, 5, 10, 12]
+        for (_, r), (_, w) in zip(got, want):
+            assert_allclose(r, w, rtol=0, atol=1e-13)
+            assert np.array_equal(r, r.conj().T)
+
+    def test_one_real_transform_each_way_per_step(self, monkeypatch):
+        calls = []
+
+        def counted(name):
+            original = getattr(scipy.fft, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return wrapper
+        for name in ("fft2", "ifft2", "fftn", "ifftn", "fft", "ifft",
+                     "rfft2", "irfft2", "rfftn", "irfftn", "rfft", "irfft"):
+            monkeypatch.setattr(scipy.fft, name, counted(name))
+        gen = collisional_generator(CollisionalParams(Lambda=0.5), self.GRID)
+        # the start and the one record add one transform each way
+        list(split_march(gen, self.rho0(), 0.01, 10, 10))
+        assert sorted(calls) == ["irfft2"] * 11 + ["rfft2"] * 11
 
     def test_dense_diagonal_hamiltonian_is_split_exactly(self, rng):
         # a dense diagonal H folds into the kernel, so the step is exp(K dt)
