@@ -6,7 +6,9 @@ laboratory inputs (masses in kg, temperatures in K, lengths in m).
 """
 
 import numpy as np
-from scipy.constants import hbar as HBAR_SI, k as K_B_SI  # noqa: F401
+
+#: h / 2 pi in J s and k_B in J / K, from the exact SI values of h and k_B.
+HBAR_SI, K_B_SI = 6.62607015e-34 / (2.0 * np.pi), 1.380649e-23
 
 #: Reduced Planck constant in natural units used by the dynamics.
 HBAR = 1.0

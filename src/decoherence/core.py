@@ -85,20 +85,17 @@ class Operator:
         return Operator(self.matrix @ _as_matrix(other, self.dim))
 
     # The action on state matrices, or stacks of them along leading axes.
-    # `shared` is a dict for intermediate results of m that operators
-    # acting on the same m may share; a dense operator has none.
-    def left(self, m: np.ndarray, shared: dict | None = None) -> np.ndarray:
+    def left(self, m: np.ndarray) -> np.ndarray:
         """self @ m."""
         return self._matrix @ m
 
-    def right(self, m: np.ndarray, shared: dict | None = None) -> np.ndarray:
+    def right(self, m: np.ndarray) -> np.ndarray:
         """m @ self."""
         return m @ self._matrix
 
-    def commutator(self, m: np.ndarray, shared: dict | None = None) -> np.ndarray:
+    def commutator(self, m: np.ndarray) -> np.ndarray:
         """[self, m]."""
-        a = self._matrix
-        return a @ m - m @ a
+        return self.left(m) - self.right(m)
 
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim})"
@@ -146,7 +143,12 @@ class StateVector:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
     def density(self) -> "DensityMatrix":
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
+        """|psi><psi|, a valid state by construction: no eigendecomposition."""
+        a = self.amplitudes / np.linalg.norm(self.amplitudes)
+        m = np.outer(a, a.conj())
+        rho = object.__new__(DensityMatrix)
+        rho.matrix, rho.dim = _freeze(0.5 * (m + m.conj().T)), self.dim
+        return rho
 
     def tensor(self, other: "StateVector") -> "StateVector":
         return StateVector(np.kron(self.amplitudes, other.amplitudes), normalize=False)
@@ -395,14 +397,6 @@ class Grid1D:
         return StateVector(psi / np.linalg.norm(psi))
 
 
-def _shared(shared: dict | None, key: str, compute):
-    if shared is None:
-        return compute()
-    if key not in shared:
-        shared[key] = compute()
-    return shared[key]
-
-
 class GridOperator(Operator):
     """E(k) + V(x) on a uniform position grid.
 
@@ -439,29 +433,22 @@ class GridOperator(Operator):
         return all(v is None or 2.0 * float(np.max(np.abs(v.imag))) <= tol
                    for v in (self.kinetic, self.potential))
 
-    def left(self, m: np.ndarray, shared: dict | None = None) -> np.ndarray:
+    def left(self, m: np.ndarray) -> np.ndarray:
         if self.kinetic is None:
             return self.potential[:, None] * m
-        m_k = _shared(shared, "fft_rows", lambda: np.fft.fft(m, axis=-2))
-        out = np.fft.ifft(self.kinetic[:, None] * m_k, axis=-2)
+        out = np.fft.ifft(self.kinetic[:, None] * np.fft.fft(m, axis=-2), axis=-2)
         if self.potential is not None:
             out += self.potential[:, None] * m
         return out
 
-    def right(self, m: np.ndarray, shared: dict | None = None) -> np.ndarray:
+    def right(self, m: np.ndarray) -> np.ndarray:
         if self.kinetic is None:
             return m * self.potential
         # m F^-1 diag(E) F = (F diag(E) F^-1 m^T)^T, the DFT matrix being symmetric
-        m_k = _shared(shared, "ifft_columns", lambda: np.fft.ifft(m, axis=-1))
-        out = np.fft.fft(m_k * self.kinetic, axis=-1)
+        out = np.fft.fft(np.fft.ifft(m, axis=-1) * self.kinetic, axis=-1)
         if self.potential is not None:
             out += m * self.potential
         return out
-
-    def commutator(self, m: np.ndarray, shared: dict | None = None) -> np.ndarray:
-        if self.kinetic is None:
-            return np.subtract.outer(self.potential, self.potential) * m
-        return self.left(m, shared) - self.right(m, shared)
 
 
 # ---------------------------------------------------------------------------

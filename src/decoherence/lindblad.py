@@ -63,27 +63,15 @@ class ExtraTerm:
     coeff: complex
     label: str = ""
 
-    def apply(self, rho: np.ndarray, shared: dict | None = None) -> np.ndarray:
-        """The term on rho; `shared` keeps B rho and rho B for other terms."""
-        if shared is None:
-            shared = {}
+    def apply(self, rho: np.ndarray) -> np.ndarray:
+        """The term on rho, or on a stack of state matrices."""
         if self.kind not in ("double_comm", "comm_anticomm", "sandwich"):
             raise ValueError(f"unknown term kind {self.kind}")
         if self.kind == "sandwich":
-            return self.coeff * self.b.right(_product(self.a, "left", rho, shared))
-        left = _product(self.b, "left", rho, shared)
-        right = _product(self.b, "right", rho, shared)
+            return self.coeff * self.b.right(self.a.left(rho))
+        left, right = self.b.left(rho), self.b.right(rho)
         inner = left - right if self.kind == "double_comm" else left + right
         return self.coeff * self.a.commutator(inner)
-
-
-def _product(op: Operator, side: str, rho: np.ndarray, shared: dict) -> np.ndarray:
-    """op rho or rho op, computed once per state; `shared` also holds the
-    intermediate results that grid operators share, such as FFTs of rho."""
-    key = (id(op), side)
-    if key not in shared:
-        shared[key] = (op.left if side == "left" else op.right)(rho, shared)
-    return shared[key]
 
 
 def _split_diagonal(op: Operator) -> tuple[np.ndarray | None, Operator | None]:
@@ -105,15 +93,22 @@ class LindbladGenerator:
     """Hamiltonian plus weighted Lindblad operators plus optional extra terms.
 
     One rule covers diagonal structure: whatever part of an operator is
-    diagonal in position acts elementwise, through one (dim, dim) kernel K.
-    A diagonal Lindblad operator d folds in as
-    kappa (d_i d_j^* - (|d_i|^2 + |d_j|^2) / 2), and the diagonal part h of
-    the Hamiltonian, dense or a GridOperator's V(x), as -i (h_i - h_j^*),
-    which keeps H rho - rho H^dag for a non-Hermitian h.  The rest of H,
-    such as a GridOperator's E(k), acts as an operator, and a Lindblad
-    operator that is not diagonal keeps its matmuls.  A model whose kernel
-    has no small operator form passes it directly as `kernel`; it adds to
-    the folded one.
+    diagonal in position acts elementwise on rho, through one (dim, dim)
+    kernel K, and whatever part is diagonal in momentum acts elementwise on
+    fft2(rho), whose column q carries FFT mode -q.  A diagonal Lindblad
+    operator d folds into K as kappa (d_i d_j^* - (|d_i|^2 + |d_j|^2) / 2),
+    and the diagonal part h of the Hamiltonian, dense or a GridOperator's
+    V(x), as -i (h_i - h_j^*).  A GridOperator's E(k) becomes the momentum
+    kernel M = -i (E_k - E_{-q}^*).  Both keep H rho - rho H^dag for a
+    non-Hermitian H.  An extra term c [a, {b, rho}] or c [a, [b, rho]] with
+    a diagonal in position and b in momentum acts as (a_i - a_j) o
+    F^-1(G o fft2(rho)), G = c (b_k +- b_{-q}); the terms that share one a
+    share one G.  So an apply is K o rho plus one fft2 and one ifft2 of the
+    stack [M, G, ...] o fft2(rho).  The rest of H and the Lindblad
+    operators that are not diagonal keep their matmuls, and the other extra
+    terms (sandwiches, operators with both parts) their own apply.  A model
+    whose kernel has no small operator form passes it directly as `kernel`;
+    it adds to the folded one.
     """
 
     def __init__(self, hamiltonian: Operator | None,
@@ -157,17 +152,36 @@ class LindbladGenerator:
             else:
                 self._dense.append((rate, op.matrix, op.matrix.conj().T @ op.matrix))
                 self.noise_actions.append((None, op.matrix))
-        # the part of H acting as an operator; its diagonal part is a kernel
-        h, self._h_action = ((None, None) if hamiltonian is None
-                             else _split_diagonal(hamiltonian))
+        # the diagonal part of H is a kernel, its E(k) a momentum kernel
+        h, rest = (None, None) if hamiltonian is None else _split_diagonal(hamiltonian)
         if h is not None:
             terms.append(-1j * np.subtract.outer(h, h.conj()))
         self.kernel = sum(terms[1:], terms[0]) if terms else None
-        self._h_is_hermitian = self._h_action is None or self._h_action.is_hermitian(1e-12)
+        modes = -np.arange(self.dim)  # column q of fft2 carries FFT mode -q
+        e = rest.kinetic if isinstance(rest, GridOperator) else None
+        #: -i (E_k - E_{-q}^*) of a GridOperator H, acting on fft2(rho), or None
+        self.kinetic_kernel = None if e is None else -1j * np.subtract.outer(e, e[modes].conj())
+        #: (H, H^dag) of a dense rest of H, acting by matmuls; H^dag is H if H is Hermitian
+        self._h_action = None if rest is None or e is not None else (
+            rest.matrix, rest.matrix if rest.is_hermitian(1e-12) else rest.matrix.conj().T)
+        # [G, a_i - a_j] per position-diagonal a of the extra terms that fold
+        cross: dict[bytes, list] = {}
+        self._terms = []  # the extra terms that act by their own apply
+        for t in self.extra_terms:
+            b = t.b.kinetic if isinstance(t.b, GridOperator) and t.b.potential is None else None
+            a, a_rest = (None, None) if b is None else _split_diagonal(t.a)
+            if t.kind not in ("double_comm", "comm_anticomm") or a is None or a_rest is not None:
+                self._terms.append(t)
+                continue
+            if a.tobytes() not in cross:
+                cross[a.tobytes()] = [0.0, np.subtract.outer(a, a)]
+            sign = 1.0 if t.kind == "comm_anticomm" else -1.0
+            cross[a.tobytes()][0] += t.coeff * np.add.outer(b, sign * b[modes])
+        #: (momentum kernel, position factor or None) of each slice of the stack
+        self._momentum = ([] if e is None else [(self.kinetic_kernel, None)]) + list(cross.values())
         k = self.kernel
         #: E(k) plus a Hermitian elementwise kernel, which split_march steps exactly
-        self.splits = not (self.extra_terms or self._dense) and (
-            self._h_action is None or isinstance(self._h_action, GridOperator)) and (
+        self.splits = not (self.extra_terms or self._dense or self._h_action is not None) and (
             k is None or np.max(np.abs(k - k.conj().T)) <= CP_EIGENVALUE_TOL)
 
     @classmethod
@@ -206,20 +220,24 @@ class LindbladGenerator:
         rho may be one (dim, dim) matrix or a stack (..., dim, dim); every
         term, the elementwise kernel included, acts on the last two axes.
         """
-        out = np.zeros_like(rho, dtype=complex)
-        shared: dict = {}
-        h = self._h_action
-        if h is not None:
-            if self._h_is_hermitian:
-                out += -1j * h.commutator(rho, shared)
-            else:
-                out += -1j * (h.left(rho, shared) - rho @ h.matrix.conj().T)
-        if self.kernel is not None:
-            out += self.kernel * rho
+        out = (np.zeros_like(rho, dtype=complex) if self.kernel is None
+               else np.multiply(self.kernel, rho, dtype=complex))
+        if self._h_action is not None:
+            h, h_dag = self._h_action
+            out += -1j * (h @ rho - rho @ h_dag)
+        if self._momentum:
+            rho_k = scipy.fft.fft2(rho)
+            stack = np.empty((len(self._momentum),) + rho_k.shape, dtype=complex)
+            for s, (g, _) in zip(stack, self._momentum):
+                np.multiply(g, rho_k, out=s)
+            for s, (_, f) in zip(scipy.fft.ifft2(stack, overwrite_x=True), self._momentum):
+                if f is not None:
+                    s *= f
+                out += s
         for rate, l, ldl in self._dense:
             out += rate * (l @ rho @ l.conj().T - 0.5 * (ldl @ rho + rho @ ldl))
-        for term in self.extra_terms:
-            out += term.apply(rho, shared)
+        for term in self._terms:
+            out += term.apply(rho)
         return out
 
     def superoperator(self) -> np.ndarray:
@@ -270,11 +288,12 @@ def split_march(gen: LindbladGenerator, rho0: np.ndarray, dt: float, n_steps: in
 
     The generator folds the potential into its kernel as -i(V_i - V_j^*).  A
     step is the exact factor F = exp(K dt) in position and the exact phase
-    Phi = exp(-i(E_k - E_k'^*) dt) in momentum.  Both keep rho Hermitian, so
-    the step carries the real R = Re rho + Im rho (rho = sym R + i antisym R):
-    F o rho becomes F_r o R + F_i o R^T, and Phi o rho on S = rfft2(R) becomes
-    P o S + Q o S^T, P = (Phi + Phi^T)/2, Q = i(Phi^T - Phi)/2.  S keeps half a
-    phase pending, so half steps fuse: a step is irfft2, F, rfft2 and Phi.
+    Phi = exp(M dt) of the generator's momentum kernel M.  Both keep rho
+    Hermitian, so the step carries the real R = Re rho + Im rho (rho = sym R
+    + i antisym R): F o rho becomes F_r o R + F_i o R^T, and Phi o rho on S =
+    rfft2(R) becomes P o S + Q o S^T, P = (Phi + Phi^T)/2, Q = i(Phi^T -
+    Phi)/2.  S keeps half a phase pending, so half steps fuse: a step is
+    irfft2, F, rfft2 and Phi.
     Yields (k, state) at every recorded step, as _march does: rho0, then
     exactly Hermitian matrices.  A generator that does not split
     (`LindbladGenerator.splits`) or a non-Hermitian rho0 raises ValueError.
@@ -284,18 +303,14 @@ def split_march(gen: LindbladGenerator, rho0: np.ndarray, dt: float, n_steps: in
                          "without extra terms or non-diagonal Lindblad operators")
     if np.max(np.abs(rho0 - rho0.conj().T)) > CP_EIGENVALUE_TOL:
         raise ValueError("the split step needs a Hermitian rho0")
-    h = gen._h_action  # E(k) or None: the kernel holds the diagonal of H
     decay = np.exp(dt * (0.0 if gen.kernel is None else gen.kernel))
-    if h is None:
+    if gen.kinetic_kernel is None:
         yield from _march(rho0, lambda _, r: r * decay, n_steps, record_stride)
         return
 
-    # the momentum representation is fft2(rho): its column q carries the
-    # wavenumber of FFT mode -q, so columns see E at -q
+    # the phase of the generator's momentum kernel, which acts on fft2(rho)
     n, m = gen.dim, gen.dim // 2 + 1
-    e, e_col = h.kinetic, h.kinetic[-np.arange(n)]
-    phase = np.exp(-1j * dt * np.subtract.outer(e, e_col.conj()))
-    half = np.exp(-0.5j * dt * e)[:, None] * np.exp(0.5j * dt * e_col.conj())
+    phase, half = np.exp(dt * gen.kinetic_kernel), np.exp(0.5 * dt * gen.kinetic_kernel)
     # S^T[i, j] = S[j, i], or conj S[-j, -i] where column i of fft2 is dropped
     row, col = np.indices((n, m))
     mirrored = row >= m
@@ -368,6 +383,8 @@ class EvolutionResult:
     times: np.ndarray
     matrices: list[np.ndarray]
     evolver: str
+    #: the step is certified completely positive: `matrices` are valid states
+    certified: bool = False
     _states: list[DensityMatrix] | None = None
 
     @property
@@ -435,9 +452,10 @@ def _record(gen: LindbladGenerator, rho0: DensityMatrix, cfg: IntegratorConfig,
     records = [_validated(rho, k * cfg.dt, hint, certified)
                for k, rho in itertools.islice(march, 1, None)]
     if certified:
-        return EvolutionResult(cfg.record_times(), [rho0.matrix] + records, evolver)
+        return EvolutionResult(cfg.record_times(), [rho0.matrix] + records, evolver, True)
     states = [rho0] + records
-    return EvolutionResult(cfg.record_times(), [s.matrix for s in states], evolver, states)
+    return EvolutionResult(cfg.record_times(), [s.matrix for s in states], evolver,
+                           _states=states)
 
 
 def evolve(gen: LindbladGenerator, rho0: DensityMatrix,

@@ -26,9 +26,10 @@ def purity(rho: DensityMatrix) -> float:
     return float(np.real(np.trace(rho.matrix @ rho.matrix)))
 
 
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """-sum lambda log2 lambda in bits, zero eigenvalues excluded."""
-    w = np.linalg.eigvalsh(rho.matrix)
+def von_neumann_entropy(rho: DensityMatrix | np.ndarray) -> float:
+    """-sum lambda log2 lambda in bits, zero eigenvalues excluded; rho may
+    also be the matrix of a known valid state, such as a certified record."""
+    w = np.linalg.eigvalsh(rho.matrix if isinstance(rho, DensityMatrix) else rho)
     w = w[w > ENTROPY_EIGENVALUE_FLOOR]
     return float(-np.sum(w * np.log2(w)))
 

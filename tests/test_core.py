@@ -159,6 +159,19 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
 
+    def test_pure_state_projector_needs_no_eigendecomposition(self, rng, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigendecomposition of a pure state")
+
+        psi = Grid1D(64, -4.0, 4.0).two_packet_cat(1.5, 0.4, k0=0.7)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        for state in (psi, random_state(rng, 5), KET_PLUS):
+            rho = state.density()
+            a = state.amplitudes
+            assert_allclose(rho.matrix, np.outer(a, a.conj()), rtol=0, atol=1e-15)
+            assert np.array_equal(rho.matrix, rho.matrix.conj().T)
+            assert not rho.matrix.flags.writeable and rho.dim == state.dim
+
 
 class TestCoherentStates:
     def test_vacuum(self):
@@ -268,3 +281,11 @@ def test_tensor_state_matches_kron():
     joint = tensor_state(KET_PLUS, KET_0)
     assert_allclose(joint.amplitudes,
                     np.kron(KET_PLUS.amplitudes, KET_0.amplitudes))
+
+
+def test_si_constants_are_the_exact_values():
+    import scipy.constants
+
+    from decoherence.constants import HBAR_SI, K_B_SI
+    assert HBAR_SI == scipy.constants.hbar
+    assert K_B_SI == scipy.constants.k

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from decoherence.core import FockSpace, Grid1D, Operator
+from decoherence.core import FockSpace, Grid1D, GridOperator, Operator
 from decoherence.lindblad import ExtraTerm, LindbladGenerator, apply_generator
 from decoherence.models import (
     CollisionalParams,
@@ -168,6 +169,61 @@ class TestStructuredApply:
             rho[n // 2, n // 2] = 1.0
             assert np.isfinite(gen.apply(rho)).all()
             assert all(op._matrix is None for op in ops)
+
+
+class TestMomentumApply:
+    """The momentum rule of LindbladGenerator.apply on what it folds and
+    what it leaves to the operators."""
+
+    GRID = Grid1D(16, -3.0, 3.0)
+
+    def test_qbm_apply_is_one_fft2_and_one_ifft2(self, rng, monkeypatch):
+        calls = []
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(f"{module.__name__}.{name}")
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        gen = grid_generators(24)["qbm_anomalous_True_dissipation_True"]
+        for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
+                     "rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn"):
+            counted(np.fft, name)
+            counted(scipy.fft, name)
+        gen.apply(random_density(rng, 24).matrix)
+        assert sorted(calls) == ["scipy.fft.fft2", "scipy.fft.ifft2"]
+
+    def test_complex_kinetic_energy_keeps_h_rho_minus_rho_h_dag(self, rng):
+        g = self.GRID
+        ham = GridOperator(g.k ** 2 / 2.0 - 0.3j * g.k ** 2 + 0.2 * g.k, 0.5 * g.x ** 2)
+        hm = ham.matrix
+        rho = random_density(rng, 16).matrix
+        assert_allclose(LindbladGenerator(ham).apply(rho),
+                        -1j * (hm @ rho - rho @ hm.conj().T), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("term", [
+        ExtraTerm("sandwich", GRID.position_operator(), GRID.momentum_operator(), 0.2 - 0.1j),
+        ExtraTerm("comm_anticomm", GridOperator(GRID.k, GRID.x), GRID.momentum_operator(),
+                  -0.1j),
+        ExtraTerm("double_comm", GRID.position_operator(), GridOperator(GRID.k, GRID.x), -0.3),
+    ], ids=["sandwich", "a_with_kinetic_part", "b_with_potential_part"])
+    def test_terms_that_do_not_fold_equal_the_dense_generator(self, rng, term):
+        g = self.GRID
+        gen = LindbladGenerator(g.kinetic_hamiltonian(1.0), [(0.4, g.position_operator())],
+                                extra_terms=[term])
+        assert gen._terms == [term]
+        rho = random_density(rng, 16).matrix
+        assert_allclose(gen.apply(rho), dense_twin(gen).apply(rho), rtol=0, atol=1e-12)
+
+    def test_stack_equals_per_matrix_applies(self, rng):
+        gen = grid_generators(16)["qbm_anomalous_True_dissipation_True"]
+        stack = np.stack([random_density(rng, 16).matrix for _ in range(3)])
+        got = gen.apply(stack)
+        for rho, g in zip(stack, got):
+            assert_allclose(g, gen.apply(rho), rtol=0, atol=1e-14)
 
 
 class TestMomentFlow:
