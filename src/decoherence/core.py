@@ -143,12 +143,7 @@ class StateVector:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
     def density(self) -> "DensityMatrix":
-        """|psi><psi|, a valid state by construction: no eigendecomposition."""
-        a = self.amplitudes / np.linalg.norm(self.amplitudes)
-        m = np.outer(a, a.conj())
-        rho = object.__new__(DensityMatrix)
-        rho.matrix, rho.dim = _freeze(0.5 * (m + m.conj().T)), self.dim
-        return rho
+        return DensityMatrix._pure(self.amplitudes)
 
     def tensor(self, other: "StateVector") -> "StateVector":
         return StateVector(np.kron(self.amplitudes, other.amplitudes), normalize=False)
@@ -192,6 +187,17 @@ class DensityMatrix:
             m = (v * w) @ v.conj().T
         self.matrix = _freeze(m)
         self.dim = m.shape[0]
+
+    @classmethod
+    def _pure(cls, a: np.ndarray) -> "DensityMatrix":
+        """|a><a|: positive by construction, so only the trace is checked."""
+        m = np.outer(a, a.conj())
+        tr = np.trace(m)
+        if not abs(tr - 1.0) <= DEFAULT_TOL:
+            raise ValueError(f"density matrix trace {tr} deviates from 1")
+        rho = object.__new__(cls)
+        rho.matrix, rho.dim = _freeze(0.5 * (m + m.conj().T)), m.shape[0]
+        return rho
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":

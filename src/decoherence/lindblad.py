@@ -383,8 +383,6 @@ class EvolutionResult:
     times: np.ndarray
     matrices: list[np.ndarray]
     evolver: str
-    #: the step is certified completely positive: `matrices` are valid states
-    certified: bool = False
     _states: list[DensityMatrix] | None = None
 
     @property
@@ -452,10 +450,9 @@ def _record(gen: LindbladGenerator, rho0: DensityMatrix, cfg: IntegratorConfig,
     records = [_validated(rho, k * cfg.dt, hint, certified)
                for k, rho in itertools.islice(march, 1, None)]
     if certified:
-        return EvolutionResult(cfg.record_times(), [rho0.matrix] + records, evolver, True)
+        return EvolutionResult(cfg.record_times(), [rho0.matrix] + records, evolver)
     states = [rho0] + records
-    return EvolutionResult(cfg.record_times(), [s.matrix for s in states], evolver,
-                           _states=states)
+    return EvolutionResult(cfg.record_times(), [s.matrix for s in states], evolver, states)
 
 
 def evolve(gen: LindbladGenerator, rho0: DensityMatrix,

@@ -27,8 +27,7 @@ def purity(rho: DensityMatrix) -> float:
 
 
 def von_neumann_entropy(rho: DensityMatrix | np.ndarray) -> float:
-    """-sum lambda log2 lambda in bits, zero eigenvalues excluded; rho may
-    also be the matrix of a known valid state, such as a certified record."""
+    """-sum lambda log2 lambda in bits of a state or a valid state's matrix."""
     w = np.linalg.eigvalsh(rho.matrix if isinstance(rho, DensityMatrix) else rho)
     w = w[w > ENTROPY_EIGENVALUE_FLOOR]
     return float(-np.sum(w * np.log2(w)))

@@ -622,8 +622,7 @@ def _run_master_equation(cfg: ScenarioConfig, summary: dict, out_dir: Path) -> d
     if "purity" in quantities:
         series["purity"] = [float(np.real(np.trace(m @ m))) for m in mats]
     if "entropy" in quantities:
-        records = mats if res.certified else res.states
-        series["entropy"] = [measures.von_neumann_entropy(s) for s in records]
+        series["entropy"] = [measures.von_neumann_entropy(m) for m in mats]
     if "coherence_magnitude" in quantities and grid is not None:
         # beyond the packets' separation, or two widths of a single packet
         threshold = st["x0"] if st["kind"] == "two_packet_cat" else 2.0 * st["sigma"]

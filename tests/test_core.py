@@ -172,6 +172,16 @@ class TestDensityMatrix:
             assert np.array_equal(rho.matrix, rho.matrix.conj().T)
             assert not rho.matrix.flags.writeable and rho.dim == state.dim
 
+    def test_pure_state_projector_keeps_the_trace_check(self):
+        # within StateVector's 1e-8 norm tolerance, beyond DensityMatrix's 1e-9 trace
+        off = StateVector(np.array([1.0 + 5e-9, 0.0]))
+        with pytest.raises(ValueError, match="trace"):
+            off.density()
+        with pytest.raises(ValueError):
+            DensityMatrix(np.outer(off.amplitudes, off.amplitudes.conj()))
+        with pytest.raises(ValueError):
+            StateVector(np.array([np.nan, 1.0])).density()
+
 
 class TestCoherentStates:
     def test_vacuum(self):
