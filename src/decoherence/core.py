@@ -7,8 +7,9 @@ decompositions, coherent/Fock states, uniform position grids and CSV tables.
 
 Everything is dense and aimed at desk scale (dimensions up to a few
 thousand), except operators on a position grid: a `GridOperator` carries
-its diagonals in momentum and in position and acts by FFT.  Arrays are
-frozen after construction so values can be shared freely across threads.
+its diagonals in momentum and in position, which a master-equation
+generator applies elementwise to rho and to fft2(rho).  Arrays are frozen
+after construction so values can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -83,19 +84,6 @@ class Operator:
         if isinstance(other, StateVector):
             return StateVector(self.matrix @ other.amplitudes, normalize=False)
         return Operator(self.matrix @ _as_matrix(other, self.dim))
-
-    # The action on state matrices, or stacks of them along leading axes.
-    def left(self, m: np.ndarray) -> np.ndarray:
-        """self @ m."""
-        return self._matrix @ m
-
-    def right(self, m: np.ndarray) -> np.ndarray:
-        """m @ self."""
-        return m @ self._matrix
-
-    def commutator(self, m: np.ndarray) -> np.ndarray:
-        """[self, m]."""
-        return self.left(m) - self.right(m)
 
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim})"
@@ -408,9 +396,8 @@ class GridOperator(Operator):
 
     `kinetic` is diagonal in momentum: E at the FFT modes of the grid, in
     the order of Grid1D.k.  `potential` is diagonal in position: V at the
-    grid points.  Either may be None.  The operator acts on state matrices,
-    or stacks of them, by FFTs along one axis and elementwise products;
-    its dense `matrix` is built, by the same FFTs, only when asked for.
+    grid points.  Either may be None.  Its dense `matrix`, F^-1 diag(E) F
+    + diag(V), is built by one FFT pair on the identity, only when asked for.
     """
 
     __slots__ = ("kinetic", "potential")
@@ -432,29 +419,19 @@ class GridOperator(Operator):
     @property
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
-            self._matrix = _freeze(self.left(np.eye(self.dim)))
+            eye = np.eye(self.dim)
+            if self.kinetic is None:
+                m = self.potential[:, None] * eye
+            else:
+                m = np.fft.ifft(self.kinetic[:, None] * np.fft.fft(eye, axis=0), axis=0)
+                if self.potential is not None:
+                    m += self.potential[:, None] * eye
+            self._matrix = _freeze(m)
         return self._matrix
 
     def is_hermitian(self, tol: float = DEFAULT_TOL) -> bool:
         return all(v is None or 2.0 * float(np.max(np.abs(v.imag))) <= tol
                    for v in (self.kinetic, self.potential))
-
-    def left(self, m: np.ndarray) -> np.ndarray:
-        if self.kinetic is None:
-            return self.potential[:, None] * m
-        out = np.fft.ifft(self.kinetic[:, None] * np.fft.fft(m, axis=-2), axis=-2)
-        if self.potential is not None:
-            out += self.potential[:, None] * m
-        return out
-
-    def right(self, m: np.ndarray) -> np.ndarray:
-        if self.kinetic is None:
-            return m * self.potential
-        # m F^-1 diag(E) F = (F diag(E) F^-1 m^T)^T, the DFT matrix being symmetric
-        out = np.fft.fft(np.fft.ifft(m, axis=-1) * self.kinetic, axis=-1)
-        if self.potential is not None:
-            out += m * self.potential
-        return out
 
 
 # ---------------------------------------------------------------------------

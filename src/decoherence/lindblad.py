@@ -14,6 +14,12 @@ anticommutator terms c [A,{B,rho}], and paired sandwich terms c A rho B.
 A non-Hermitian H is propagated as H rho - rho H^dag, which the sandwich
 terms of the weak-coupling two-level equation rely on to conserve trace.
 
+Every such equation has one standard form, G rho + rho G' + sum A rho B:
+with H_eff = H - (i/2) sum kappa L^dag L, the no-jump part is
+-i (H_eff rho - rho H_eff^dag) and the jumps are kappa L rho L^dag.  The
+generator compiles each term into it once, at construction, after the
+parts that act elementwise in position or momentum are taken out.
+
 `propagate` steps exp(L t) by the split step, the exact propagator of a
 small generator or `evolve`, classical fixed-step 4th-order, whose error
 `convergence_check` estimates by halving dt.  Every stepping evolver of
@@ -63,15 +69,14 @@ class ExtraTerm:
     coeff: complex
     label: str = ""
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """The term on rho, or on a stack of state matrices."""
+    def __post_init__(self):
         if self.kind not in ("double_comm", "comm_anticomm", "sandwich"):
             raise ValueError(f"unknown term kind {self.kind}")
-        if self.kind == "sandwich":
-            return self.coeff * self.b.right(self.a.left(rho))
-        left, right = self.b.left(rho), self.b.right(rho)
-        inner = left - right if self.kind == "double_comm" else left + right
-        return self.coeff * self.a.commutator(inner)
+
+
+def _total(parts: list[np.ndarray]) -> np.ndarray | None:
+    """The sum of parts, or None for no parts."""
+    return sum(parts[1:], parts[0]) if parts else None
 
 
 def _split_diagonal(op: Operator) -> tuple[np.ndarray | None, Operator | None]:
@@ -102,13 +107,19 @@ class LindbladGenerator:
     kernel M = -i (E_k - E_{-q}^*).  Both keep H rho - rho H^dag for a
     non-Hermitian H.  An extra term c [a, {b, rho}] or c [a, [b, rho]] with
     a diagonal in position and b in momentum acts as (a_i - a_j) o
-    F^-1(G o fft2(rho)), G = c (b_k +- b_{-q}); the terms that share one a
-    share one G.  So an apply is K o rho plus one fft2 and one ifft2 of the
-    stack [M, G, ...] o fft2(rho).  The rest of H and the Lindblad
-    operators that are not diagonal keep their matmuls, and the other extra
-    terms (sandwiches, operators with both parts) their own apply.  A model
-    whose kernel has no small operator form passes it directly as `kernel`;
-    it adds to the folded one.
+    F^-1(C o fft2(rho)), C = c (b_k +- b_{-q}); the terms that share one a
+    share one C.
+
+    Everything else takes the standard form G rho + rho G' + sum A rho B,
+    expanded once from the operators' dense matrices: the rest of H adds
+    -i H to G and i H^dag to G'; a non-diagonal L adds -kappa L^dag L / 2
+    to both and the product (kappa L, L^dag); c [a, {b, rho}] and
+    c [a, [b, rho]] add c a b to G, -+c b a to G' and the products
+    (+-c a, b) and (-c b, a); a sandwich c a rho b is the product (c a, b).
+    So an apply is K o rho, G rho + rho G', one fft2 and one ifft2 of the
+    stack [M, C, ...] o fft2(rho), and the products.  A model whose kernel
+    has no small operator form passes it directly as `kernel`; it adds to
+    the folded one.
     """
 
     def __init__(self, hamiltonian: Operator | None,
@@ -139,7 +150,9 @@ class LindbladGenerator:
         #: part of the kernel was passed in, with no operators behind it
         self.bare_kernel = kernel is not None
         terms = [] if kernel is None else [kernel]
-        self._dense = []  # (rate, L, L^dag L) of the non-diagonal operators
+        left, right = [], []  # the parts of G and of G'
+        #: (A, B) of each two-sided product A rho B
+        self._products = []
         #: measurement action L rho + rho L^dag per Lindblad operator, in
         #: order: (kernel d_i + d_j^*, None) for a diagonal d, (None, L) otherwise
         self.noise_actions = []
@@ -150,38 +163,49 @@ class LindbladGenerator:
                 terms.append(rate * (np.outer(d, d.conj()) - 0.5 * np.add.outer(dd, dd)))
                 self.noise_actions.append((np.add.outer(d, d.conj()), None))
             else:
-                self._dense.append((rate, op.matrix, op.matrix.conj().T @ op.matrix))
-                self.noise_actions.append((None, op.matrix))
+                l = op.matrix
+                no_jump = -0.5 * rate * (l.conj().T @ l)
+                left.append(no_jump)
+                right.append(no_jump)
+                self._products.append((rate * l, l.conj().T))
+                self.noise_actions.append((None, l))
         # the diagonal part of H is a kernel, its E(k) a momentum kernel
         h, rest = (None, None) if hamiltonian is None else _split_diagonal(hamiltonian)
         if h is not None:
             terms.append(-1j * np.subtract.outer(h, h.conj()))
-        self.kernel = sum(terms[1:], terms[0]) if terms else None
+        self.kernel = _total(terms)
         modes = -np.arange(self.dim)  # column q of fft2 carries FFT mode -q
         e = rest.kinetic if isinstance(rest, GridOperator) else None
         #: -i (E_k - E_{-q}^*) of a GridOperator H, acting on fft2(rho), or None
         self.kinetic_kernel = None if e is None else -1j * np.subtract.outer(e, e[modes].conj())
-        #: (H, H^dag) of a dense rest of H, acting by matmuls; H^dag is H if H is Hermitian
-        self._h_action = None if rest is None or e is not None else (
-            rest.matrix, rest.matrix if rest.is_hermitian(1e-12) else rest.matrix.conj().T)
-        # [G, a_i - a_j] per position-diagonal a of the extra terms that fold
+        if rest is not None and e is None:
+            left.append(-1j * rest.matrix)
+            right.append(1j * rest.matrix.conj().T)
+        # [C, a_i - a_j] per position-diagonal a of the extra terms that fold
         cross: dict[bytes, list] = {}
-        self._terms = []  # the extra terms that act by their own apply
         for t in self.extra_terms:
+            sign = 1.0 if t.kind == "comm_anticomm" else -1.0
             b = t.b.kinetic if isinstance(t.b, GridOperator) and t.b.potential is None else None
             a, a_rest = (None, None) if b is None else _split_diagonal(t.a)
-            if t.kind not in ("double_comm", "comm_anticomm") or a is None or a_rest is not None:
-                self._terms.append(t)
-                continue
-            if a.tobytes() not in cross:
-                cross[a.tobytes()] = [0.0, np.subtract.outer(a, a)]
-            sign = 1.0 if t.kind == "comm_anticomm" else -1.0
-            cross[a.tobytes()][0] += t.coeff * np.add.outer(b, sign * b[modes])
+            if t.kind == "sandwich":
+                self._products.append((t.coeff * t.a.matrix, t.b.matrix))
+            elif a is None or a_rest is not None:
+                am, bm = t.a.matrix, t.b.matrix
+                # c [a, b rho +- rho b] = c (a b rho +- a rho b - b rho a -+ rho b a)
+                left.append(t.coeff * (am @ bm))
+                right.append(-sign * t.coeff * (bm @ am))
+                self._products += [(sign * t.coeff * am, bm), (-t.coeff * bm, am)]
+            else:
+                if a.tobytes() not in cross:
+                    cross[a.tobytes()] = [0.0, np.subtract.outer(a, a)]
+                cross[a.tobytes()][0] += t.coeff * np.add.outer(b, sign * b[modes])
+        #: G and G' of G rho + rho G', or None
+        self._g, self._g_prime = _total(left), _total(right)
         #: (momentum kernel, position factor or None) of each slice of the stack
         self._momentum = ([] if e is None else [(self.kinetic_kernel, None)]) + list(cross.values())
         k = self.kernel
         #: E(k) plus a Hermitian elementwise kernel, which split_march steps exactly
-        self.splits = not (self.extra_terms or self._dense or self._h_action is not None) and (
+        self.splits = self._g is None and not self.extra_terms and (
             k is None or np.max(np.abs(k - k.conj().T)) <= CP_EIGENVALUE_TOL)
 
     @classmethod
@@ -222,9 +246,9 @@ class LindbladGenerator:
         """
         out = (np.zeros_like(rho, dtype=complex) if self.kernel is None
                else np.multiply(self.kernel, rho, dtype=complex))
-        if self._h_action is not None:
-            h, h_dag = self._h_action
-            out += -1j * (h @ rho - rho @ h_dag)
+        if self._g is not None:
+            out += self._g @ rho
+            out += rho @ self._g_prime
         if self._momentum:
             rho_k = scipy.fft.fft2(rho)
             stack = np.empty((len(self._momentum),) + rho_k.shape, dtype=complex)
@@ -234,10 +258,8 @@ class LindbladGenerator:
                 if f is not None:
                     s *= f
                 out += s
-        for rate, l, ldl in self._dense:
-            out += rate * (l @ rho @ l.conj().T - 0.5 * (ldl @ rho + rho @ ldl))
-        for term in self._terms:
-            out += term.apply(rho)
+        for a, b in self._products:
+            out += a @ rho @ b
         return out
 
     def superoperator(self) -> np.ndarray:

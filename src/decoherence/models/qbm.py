@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 
 from ..core import Grid1D, GridOperator
 from ..lindblad import (
@@ -159,23 +158,22 @@ def qbm_position_variance(params: QBMParams, times: np.ndarray,
                           include_anomalous: bool = True) -> np.ndarray:
     """Var(x)(t) from the second-moment flow.
 
+    The affine flow d m / dt = A m + b is solved exactly: (m, 1) evolves by
+    the matrix exponential of the 6 x 6 system [[A, b], [0, 0]].
     free_particle drops the (shifted) potential, the regime in which the
     late-time variance grows linearly at rate D / (2 M^2 gamma^2).
     """
+    from scipy.linalg import expm
     c = coefficients if coefficients is not None else qbm_coefficients(params)
     omega_sq = 0.0 if free_particle else params.Omega ** 2 + c.omega_shift_sq
     A, b = qbm_moment_matrix(params.mass, omega_sq, c.gamma, c.D,
                              c.f if include_anomalous else 0.0)
-
-    def rhs(t, m):
-        return A @ m + b
-
-    sol = scipy.integrate.solve_ivp(rhs, (times[0], times[-1]), initial_moments,
-                                    t_eval=times, rtol=1e-10, atol=1e-12)
-    if not sol.success:
-        raise RuntimeError(f"moment integration failed: {sol.message}")
-    x_mean, x_sq = sol.y[0], sol.y[2]
-    return x_sq - x_mean ** 2
+    flow = np.zeros((6, 6))
+    flow[:5, :5], flow[:5, 5] = A, b
+    m0 = np.append(np.asarray(initial_moments, dtype=float), 1.0)
+    t = np.asarray(times, dtype=float)
+    m = np.array([expm(flow * (ti - t[0])) @ m0 for ti in t])
+    return m[:, 2] - m[:, 0] ** 2
 
 
 def localization_rate(mass: float, gamma0: float, T: float, dx: float) -> float:

@@ -33,7 +33,6 @@ from ..lindblad import (
     ExtraTerm,
     LindbladGenerator,
     QuadratureError,
-    _coth,
 )
 
 
@@ -81,6 +80,7 @@ def spin_boson_pure_dephasing(params: SpinBosonParams) -> Callable[[float], floa
     if params.Delta0 != 0:
         raise ValueError("exact solution requires Delta0 = 0")
     J, T = params.J, params.T
+    weight = _bath_kernels(params).noise_weight  # J(w) coth(w / 2T)
 
     # estimate the low-frequency exponent s of J ~ w^s; the integrand
     # behaves as w^s near zero at T = 0 and as T w^(s-1) at T > 0
@@ -98,8 +98,7 @@ def spin_boson_pure_dephasing(params: SpinBosonParams) -> Callable[[float], floa
             return 0.0
 
         def integrand(w: float) -> float:
-            th = _coth(w / (2.0 * T)) if T > 0 else 1.0
-            return J(w) * th * (1.0 - math.cos(w * t)) / (w * w)
+            return weight(w) * (1.0 - math.cos(w * t)) / (w * w)
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)

@@ -40,22 +40,37 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def full_generator(rng, dim=3):
-    """H, a diagonal L, a non-diagonal L and one extra term of each kind."""
+    """A non-Hermitian H, a diagonal L, a non-diagonal L and one extra term of each kind."""
     diag = Operator(np.diag(rng.normal(size=dim) + 1j * rng.normal(size=dim)))
     lower = Operator(np.diag(np.ones(dim - 1), k=1))
     a, b = random_hermitian(rng, dim), random_hermitian(rng, dim)
     extra = [ExtraTerm("double_comm", a, b, -0.3),
              ExtraTerm("comm_anticomm", a, b, -0.2j),
              ExtraTerm("sandwich", a, b, 0.1 + 0.05j)]
-    return LindbladGenerator(random_hermitian(rng, dim),
-                             [(0.7, diag), (0.4, lower)], extra_terms=extra)
+    ham = random_hermitian(rng, dim) - 0.4j * random_hermitian(rng, dim)
+    return LindbladGenerator(ham, [(0.7, diag), (0.4, lower)], extra_terms=extra)
+
+
+def written_out(gen, rho):
+    """-i (H rho - rho H^dag) + the dissipator + the extra terms, nested as written."""
+    h = gen.hamiltonian.matrix
+    out = -1j * (h @ rho - rho @ h.conj().T) + dissipator(gen.lindblad_ops, rho)
+    for t in gen.extra_terms:
+        a, b = t.a.matrix, t.b.matrix
+        if t.kind == "sandwich":
+            out += t.coeff * a @ rho @ b
+            continue
+        inner = b @ rho - rho @ b if t.kind == "double_comm" else b @ rho + rho @ b
+        out += t.coeff * (a @ inner - inner @ a)
+    return out
 
 
 class TestApplyOnStacks:
     def test_stack_equals_per_matrix_apply(self, rng):
         gen = full_generator(rng)
-        # the diagonal L is folded into the kernel; the other stays dense
-        assert gen.kernel is not None and len(gen._dense) == 1
+        # the diagonal L is folded into the kernel; the other is one product,
+        # besides the 2 + 2 + 1 of the extra terms
+        assert gen.kernel is not None and len(gen._products) == 1 + 2 + 2 + 1
         stack = np.stack([random_density(rng, 3).matrix for _ in range(6)])
         got = gen.apply(stack)
         for i in range(6):
@@ -68,6 +83,21 @@ class TestApplyOnStacks:
         got = gen.apply(stack)
         assert got.shape == stack.shape
         assert_allclose(got[1, 2], gen.apply(stack[1, 2]), rtol=0, atol=1e-14)
+
+
+class TestStandardForm:
+    def test_apply_equals_the_written_out_equation(self, rng):
+        gen = full_generator(rng)
+        assert not gen.hamiltonian.is_hermitian()
+        rho = random_density(rng, 3).matrix
+        stack = np.stack([random_density(rng, 3).matrix
+                          for _ in range(6)]).reshape(2, 3, 3, 3)
+        for m in (rho, stack):
+            assert_allclose(gen.apply(m), written_out(gen, m), rtol=0, atol=1e-13)
+
+    def test_unknown_term_kind_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="unknown term kind"):
+            ExtraTerm("triple_comm", SIGMA_Z, SIGMA_Z, 1.0)
 
 
 class TestKernel:
@@ -106,7 +136,10 @@ class TestDiagonalHamiltonian:
                (0.4, Operator(np.diag(np.ones(2), k=1)))]
         ham = Operator(np.diag(h))
         gen = LindbladGenerator(ham, ops)
-        assert gen._h_action is None and gen.hamiltonian is ham
+        # H adds nothing to G: only the non-diagonal L's no-jump part is there
+        l = ops[1][1].matrix
+        assert_allclose(gen._g, -0.2 * l.conj().T @ l, rtol=0, atol=1e-15)
+        assert gen.hamiltonian is ham
         rho = random_density(rng, 3).matrix
         stack = np.stack([random_density(rng, 3).matrix for _ in range(4)])
         hm = ham.matrix
@@ -119,7 +152,7 @@ class TestDiagonalHamiltonian:
         ham = GridOperator(grid.k ** 2 / 2.0, 0.5 * grid.x ** 2 - 0.2j * grid.x ** 2)
         gen = LindbladGenerator(ham)
         # V(x) folds into the kernel, E(k) into the momentum kernel
-        assert gen._h_action is None and gen.kinetic_kernel is not None
+        assert gen._g is None and gen.kinetic_kernel is not None
         rho = random_density(rng, 16).matrix
         hm = ham.matrix
         assert_allclose(gen.apply(rho), -1j * (hm @ rho - rho @ hm.conj().T),

@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
 import scipy.fft
+import scipy.integrate
 import scipy.linalg
 from numpy.testing import assert_allclose
 
 from decoherence.core import FockSpace, Grid1D, GridOperator, Operator
-from decoherence.lindblad import ExtraTerm, LindbladGenerator, apply_generator
+from decoherence.lindblad import (
+    BornMarkovCoefficients,
+    ExtraTerm,
+    LindbladGenerator,
+    apply_generator,
+)
 from decoherence.models import (
     CollisionalParams,
     QBMParams,
@@ -214,7 +220,8 @@ class TestMomentumApply:
         g = self.GRID
         gen = LindbladGenerator(g.kinetic_hamiltonian(1.0), [(0.4, g.position_operator())],
                                 extra_terms=[term])
-        assert gen._terms == [term]
+        # the term does not fold: the momentum stack holds E(k) alone
+        assert len(gen._momentum) == 1 and gen._products
         rho = random_density(rng, 16).matrix
         assert_allclose(gen.apply(rho), dense_twin(gen).apply(rho), rtol=0, atol=1e-12)
 
@@ -262,6 +269,22 @@ class TestMomentFlow:
         slope = np.polyfit(times[late], var[late], 1)[0]
         want = c.D / (2.0 * HIGH_T.mass ** 2 * gamma ** 2)
         assert slope == pytest.approx(want, rel=0.05)
+
+    def test_variance_equals_an_integrated_moment_flow(self):
+        # every term on: a shifted oscillator, damping, diffusion, anomalous
+        params = QBMParams(mass=1.3, Omega=0.8, gamma0=0.1, T=5.0, cutoff=5.0)
+        c = BornMarkovCoefficients(omega_shift_sq=-0.3, gamma=0.12, D=0.9, f=0.07,
+                                   quadrature_error=0.0)
+        times = np.linspace(0.5, 30.0, 60)
+        m0 = np.array([0.4, -0.2, 0.66, 0.1, 0.55])
+        A, b = qbm_moment_matrix(params.mass, params.Omega ** 2 + c.omega_shift_sq,
+                                 c.gamma, c.D, c.f)
+        sol = scipy.integrate.solve_ivp(lambda t, m: A @ m + b, (times[0], times[-1]), m0,
+                                        t_eval=times, rtol=1e-12, atol=1e-14)
+        assert sol.success
+        want = sol.y[2] - sol.y[0] ** 2
+        got = qbm_position_variance(params, times, m0, coefficients=c)
+        assert_allclose(got, want, rtol=1e-7, atol=0)
 
     def test_localization_rate_matches_decoherence_coefficient(self,
                                                                high_t_coefficients):

@@ -67,7 +67,9 @@ class TestPureDephasing:
     def test_zero_hamiltonian_folds_into_the_kernel(self):
         # at Delta0 = 0 the effective Hamiltonian is zero: no commutator is left
         gen = spin_boson_born_markov(make_params())
-        assert gen._h_action is None
+        # G is the dephasing term's c sz sz = c I alone: H adds nothing to it
+        dephasing = gen.extra_terms[0]
+        assert np.array_equal(gen._g, dephasing.coeff * np.eye(2))
         assert not np.any(gen.hamiltonian.matrix) and not np.any(gen.kernel)
 
     def test_tunneling_required_to_vanish(self):

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import decoherence
 from decoherence.cli import main as cli_main
 from decoherence.scenario import (
     ConfigError,
@@ -595,8 +597,12 @@ x_max = 8.0
         assert cli_main(["run", str(path), "--out", str(tmp_path)]) == 0
 
     def test_entry_point_runs_as_subprocess(self, tmp_path):
+        # the child imports the package under test, also when only pytest's
+        # pythonpath puts it on sys.path
+        src = str(Path(decoherence.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "decoherence.cli", "models"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert "model collisional" in proc.stdout
