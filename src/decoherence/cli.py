@@ -66,6 +66,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
 
     if args.seed is not None:
+        if args.seed < 0:
+            print("config error: --seed must be >= 0", file=sys.stderr)
+            return EXIT_CONFIG
         cfg.seed = args.seed
     try:
         summary = run_scenario(cfg, out_dir=args.out)

@@ -14,11 +14,10 @@ anticommutator terms c [A,{B,rho}], and paired sandwich terms c A rho B.
 A non-Hermitian H is propagated as H rho - rho H^dag, which the sandwich
 terms of the weak-coupling two-level equation rely on to conserve trace.
 
-Every such equation has one standard form, G rho + rho G' + sum A rho B:
-with H_eff = H - (i/2) sum kappa L^dag L, the no-jump part is
--i (H_eff rho - rho H_eff^dag) and the jumps are kappa L rho L^dag.  The
-generator compiles each term into it once, at construction, after the
-parts that act elementwise in position or momentum are taken out.
+Every such equation is a sum of pieces c A rho B, which the generator
+places once, at construction: into an elementwise kernel when both sides
+are diagonal, into the no-jump part G rho + rho G' when one side is the
+identity, among the products A rho B otherwise.
 
 `propagate` steps exp(L t) by the split step, the exact propagator of a
 small generator or `evolve`, classical fixed-step 4th-order, whose error
@@ -74,52 +73,49 @@ class ExtraTerm:
             raise ValueError(f"unknown term kind {self.kind}")
 
 
-def _total(parts: list[np.ndarray]) -> np.ndarray | None:
-    """The sum of parts, or None for no parts."""
-    return sum(parts[1:], parts[0]) if parts else None
+def _add(total: np.ndarray | None, part: np.ndarray) -> np.ndarray:
+    return part if total is None else total + part
 
 
-def _split_diagonal(op: Operator) -> tuple[np.ndarray | None, Operator | None]:
-    """(diagonal in position, rest) of an operator, a missing part being None.
-
-    A GridOperator splits into V(x) and E(k); a dense operator is either
-    diagonal or all rest.
-    """
-    if isinstance(op, GridOperator):
-        return op.potential, None if op.kinetic is None else GridOperator(kinetic=op.kinetic)
+def _side(op: Operator) -> np.ndarray:
+    """op as a side of a product A rho B: its diagonal if it is diagonal in
+    position (a GridOperator's V(x), or a dense diagonal matrix), else its matrix."""
+    if isinstance(op, GridOperator) and op.kinetic is None:
+        return op.potential
     m = op.matrix
     d = np.diag(m)
-    if np.max(np.abs(m - np.diag(d))) == 0.0:
-        return d, None
-    return None, op
+    return d if np.max(np.abs(m - np.diag(d))) == 0.0 else m
+
+
+def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The side a b of two sides: diagonal only if both are."""
+    if a.ndim == 1:
+        return a * b if b.ndim == 1 else a[:, None] * b
+    return a * b if b.ndim == 1 else a @ b
 
 
 class LindbladGenerator:
     """Hamiltonian plus weighted Lindblad operators plus optional extra terms.
 
-    One rule covers diagonal structure: whatever part of an operator is
-    diagonal in position acts elementwise on rho, through one (dim, dim)
-    kernel K, and whatever part is diagonal in momentum acts elementwise on
-    fft2(rho), whose column q carries FFT mode -q.  A diagonal Lindblad
-    operator d folds into K as kappa (d_i d_j^* - (|d_i|^2 + |d_j|^2) / 2),
-    and the diagonal part h of the Hamiltonian, dense or a GridOperator's
-    V(x), as -i (h_i - h_j^*).  A GridOperator's E(k) becomes the momentum
-    kernel M = -i (E_k - E_{-q}^*).  Both keep H rho - rho H^dag for a
-    non-Hermitian H.  An extra term c [a, {b, rho}] or c [a, [b, rho]] with
-    a diagonal in position and b in momentum acts as (a_i - a_j) o
-    F^-1(C o fft2(rho)), C = c (b_k +- b_{-q}); the terms that share one a
-    share one C.
+    Every term expands into pieces c A rho B whose sides are diagonal in
+    position (vectors) or dense matrices: H gives (-i, H, 1) and (i, 1,
+    H^dag); (kappa, L) gives (kappa, L, L^dag), (-kappa/2, L^dag L, 1) and
+    (-kappa/2, 1, L^dag L); c [a, {b, rho}] and c [a, [b, rho]] give
+    (c, a b, 1), (+-c, a, b), (-c, b, a) and (-+c, 1, b a); a sandwich
+    c a rho b gives (c, a, b).  One rule places each piece: two diagonal
+    sides add c a_i b_j to the elementwise kernel K, a side of all ones adds
+    c times the other side to G or G', anything else is a product A rho B.
 
-    Everything else takes the standard form G rho + rho G' + sum A rho B,
-    expanded once from the operators' dense matrices: the rest of H adds
-    -i H to G and i H^dag to G'; a non-diagonal L adds -kappa L^dag L / 2
-    to both and the product (kappa L, L^dag); c [a, {b, rho}] and
-    c [a, [b, rho]] add c a b to G, -+c b a to G' and the products
-    (+-c a, b) and (-c b, a); a sandwich c a rho b is the product (c a, b).
-    So an apply is K o rho, G rho + rho G', one fft2 and one ifft2 of the
+    What is diagonal in momentum is taken out first; it acts elementwise on
+    fft2(rho), whose column q carries FFT mode -q.  A GridOperator H's E(k)
+    is the momentum kernel M = -i (E_k - E_{-q}^*), and c [a, {b, rho}] or
+    c [a, [b, rho]] with a diagonal in position and b in momentum is
+    (a_i - a_j) o F^-1(C o fft2(rho)), C = c (b_k +- b_{-q}), one C per
+    distinct a.  All of it keeps H rho - rho H^dag for a non-Hermitian H.
+    An apply is K o rho, G rho + rho G', one fft2 and one ifft2 of the
     stack [M, C, ...] o fft2(rho), and the products.  A model whose kernel
-    has no small operator form passes it directly as `kernel`; it adds to
-    the folded one.
+    has no small operator form passes it as `kernel`; it adds to the
+    folded one.
     """
 
     def __init__(self, hamiltonian: Operator | None,
@@ -149,63 +145,62 @@ class LindbladGenerator:
         self.extra_terms = tuple(extra_terms)
         #: part of the kernel was passed in, with no operators behind it
         self.bare_kernel = kernel is not None
-        terms = [] if kernel is None else [kernel]
-        left, right = [], []  # the parts of G and of G'
-        #: (A, B) of each two-sided product A rho B
-        self._products = []
+        one = np.ones(self.dim)
+        pieces = []  # (c, A, B) of each c A rho B
         #: measurement action L rho + rho L^dag per Lindblad operator, in
         #: order: (kernel d_i + d_j^*, None) for a diagonal d, (None, L) otherwise
         self.noise_actions = []
         for rate, op in self.lindblad_ops:
-            d, rest = _split_diagonal(op)
-            if rest is None:
-                dd = np.real(d * d.conj())
-                terms.append(rate * (np.outer(d, d.conj()) - 0.5 * np.add.outer(dd, dd)))
-                self.noise_actions.append((np.add.outer(d, d.conj()), None))
-            else:
-                l = op.matrix
-                no_jump = -0.5 * rate * (l.conj().T @ l)
-                left.append(no_jump)
-                right.append(no_jump)
-                self._products.append((rate * l, l.conj().T))
-                self.noise_actions.append((None, l))
-        # the diagonal part of H is a kernel, its E(k) a momentum kernel
-        h, rest = (None, None) if hamiltonian is None else _split_diagonal(hamiltonian)
-        if h is not None:
-            terms.append(-1j * np.subtract.outer(h, h.conj()))
-        self.kernel = _total(terms)
+            l = _side(op)
+            l_dag = l.conj().T  # .T leaves a diagonal as it is
+            no_jump = _times(l_dag, l)
+            pieces += [(rate, l, l_dag), (-0.5 * rate, no_jump, one), (-0.5 * rate, one, no_jump)]
+            self.noise_actions.append((np.add.outer(l, l_dag), None) if l.ndim == 1 else (None, l))
         modes = -np.arange(self.dim)  # column q of fft2 carries FFT mode -q
-        e = rest.kinetic if isinstance(rest, GridOperator) else None
+        e = hamiltonian.kinetic if isinstance(hamiltonian, GridOperator) else None
         #: -i (E_k - E_{-q}^*) of a GridOperator H, acting on fft2(rho), or None
         self.kinetic_kernel = None if e is None else -1j * np.subtract.outer(e, e[modes].conj())
-        if rest is not None and e is None:
-            left.append(-1j * rest.matrix)
-            right.append(1j * rest.matrix.conj().T)
+        h = hamiltonian.potential if e is not None else (
+            None if hamiltonian is None else _side(hamiltonian))
+        if h is not None:
+            pieces += [(-1j, h, one), (1j, one, h.conj().T)]
         # [C, a_i - a_j] per position-diagonal a of the extra terms that fold
         cross: dict[bytes, list] = {}
         for t in self.extra_terms:
-            sign = 1.0 if t.kind == "comm_anticomm" else -1.0
-            b = t.b.kinetic if isinstance(t.b, GridOperator) and t.b.potential is None else None
-            a, a_rest = (None, None) if b is None else _split_diagonal(t.a)
-            if t.kind == "sandwich":
-                self._products.append((t.coeff * t.a.matrix, t.b.matrix))
-            elif a is None or a_rest is not None:
-                am, bm = t.a.matrix, t.b.matrix
-                # c [a, b rho +- rho b] = c (a b rho +- a rho b - b rho a -+ rho b a)
-                left.append(t.coeff * (am @ bm))
-                right.append(-sign * t.coeff * (bm @ am))
-                self._products += [(sign * t.coeff * am, bm), (-t.coeff * bm, am)]
-            else:
+            c, sign, a = t.coeff, 1.0 if t.kind == "comm_anticomm" else -1.0, _side(t.a)
+            kinetic = isinstance(t.b, GridOperator) and t.b.potential is None
+            if t.kind != "sandwich" and kinetic and a.ndim == 1:
+                b = t.b.kinetic
                 if a.tobytes() not in cross:
                     cross[a.tobytes()] = [0.0, np.subtract.outer(a, a)]
-                cross[a.tobytes()][0] += t.coeff * np.add.outer(b, sign * b[modes])
-        #: G and G' of G rho + rho G', or None
-        self._g, self._g_prime = _total(left), _total(right)
+                cross[a.tobytes()][0] += c * np.add.outer(b, sign * b[modes])
+                continue
+            b = _side(t.b)
+            if t.kind == "sandwich":
+                pieces.append((c, a, b))
+            else:  # c [a, b rho +- rho b] = c (a b rho +- a rho b - b rho a -+ rho b a)
+                pieces += [(c, _times(a, b), one), (sign * c, a, b), (-c, b, a),
+                           (-sign * c, one, _times(b, a))]
+        k, g, g_prime = kernel, None, None
+        #: (A, B) of each two-sided product A rho B
+        self._products = []
+        for c, a, b in pieces:
+            if a.ndim == b.ndim == 1:
+                k = _add(k, np.multiply.outer(c * a, b))
+            elif b.ndim == 1 and np.all(b == 1):
+                g = _add(g, c * a)
+            elif a.ndim == 1 and np.all(a == 1):
+                g_prime = _add(g_prime, c * b)
+            else:
+                self._products.append((c * np.diag(a) if a.ndim == 1 else c * a,
+                                       np.diag(b) if b.ndim == 1 else b))
+        self.kernel = k
+        #: G and G' of G rho + rho G', each or None
+        self._g, self._g_prime = g, g_prime
         #: (momentum kernel, position factor or None) of each slice of the stack
         self._momentum = ([] if e is None else [(self.kinetic_kernel, None)]) + list(cross.values())
-        k = self.kernel
         #: E(k) plus a Hermitian elementwise kernel, which split_march steps exactly
-        self.splits = self._g is None and not self.extra_terms and (
+        self.splits = g is None and g_prime is None and not self._products and not cross and (
             k is None or np.max(np.abs(k - k.conj().T)) <= CP_EIGENVALUE_TOL)
 
     @classmethod
@@ -248,6 +243,7 @@ class LindbladGenerator:
                else np.multiply(self.kernel, rho, dtype=complex))
         if self._g is not None:
             out += self._g @ rho
+        if self._g_prime is not None:
             out += rho @ self._g_prime
         if self._momentum:
             rho_k = scipy.fft.fft2(rho)
@@ -322,7 +318,7 @@ def split_march(gen: LindbladGenerator, rho0: np.ndarray, dt: float, n_steps: in
     """
     if not gen.splits:
         raise ValueError("the split step needs H = E(k) + V(x) and a Hermitian kernel, "
-                         "without extra terms or non-diagonal Lindblad operators")
+                         "without G, products or momentum cross terms")
     if np.max(np.abs(rho0 - rho0.conj().T)) > CP_EIGENVALUE_TOL:
         raise ValueError("the split step needs a Hermitian rho0")
     decay = np.exp(dt * (0.0 if gen.kernel is None else gen.kernel))
@@ -785,8 +781,9 @@ def born_markov_generator(hamiltonian: Operator | None,
     integrals run to cutoff_time on a Simpson grid of n_quadrature points
     (correlations must have decayed by then).  Each commutator is carried
     as a pair of sandwich terms, which keeps the generator exactly
-    trace-preserving.  Note the result is generally not of completely
-    positive form.
+    trace-preserving: -(S B) rho I joins G and -I rho (C S) joins G', so
+    each system operator leaves the two products B rho S and S rho C.
+    Note the result is generally not of completely positive form.
     """
     if len(system_ops) != len(interaction_picture_ops):
         raise ValueError("one trajectory per system operator required")

@@ -224,13 +224,13 @@ GRID_SCHEMA = {
 TRAJECTORIES_SCHEMA = {
     "n_trajectories": ParamSpec("int", required=True, minimum=1),
     "dt": ParamSpec("float", required=False, minimum=0.0, exclusive_min=True),
-    "seed": ParamSpec("int", required=False),
+    "seed": ParamSpec("int", required=False, minimum=0),
 }
 
 SCENARIO_SCHEMA = {
     "name": ParamSpec("str", required=True),
     "model": ParamSpec("str", required=True, choices=MODEL_NAMES),
-    "seed": ParamSpec("int", default=0),
+    "seed": ParamSpec("int", default=0, minimum=0),
 }
 
 
@@ -356,6 +356,9 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError("position_density needs a position-grid model")
     if "mutual_information" in outputs["quantities"] and model != "spin_spin":
         raise ConfigError("mutual_information is available for the spin_spin model")
+    if "mutual_information" in outputs["quantities"] and params["n_spins"] > 10:
+        raise ConfigError("mutual_information needs n_spins <= 10 "
+                          "(exact joint-state evolution)")
 
     grid = None
     if mschema["needs_grid"]:
@@ -696,9 +699,6 @@ def _run_spin_spin(cfg: ScenarioConfig, summary: dict) -> dict:
         if "entropy" in quantities:
             series["entropy"] = entropies
     if "mutual_information" in quantities:
-        if params.n_spins > 10:
-            raise ConfigError("mutual_information needs n_spins <= 10 "
-                              "(exact joint-state evolution)")
         series["mutual_information"] = _spin_spin_mutual_information(
             params, psi0, times)
     summary["model_info"]["gaussian_rate_estimate"] = float(

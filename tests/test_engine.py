@@ -40,13 +40,17 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def full_generator(rng, dim=3):
-    """A non-Hermitian H, a diagonal L, a non-diagonal L and one extra term of each kind."""
+    """A non-Hermitian H, a diagonal L, a non-diagonal L, one extra term of each
+    kind, a double commutator of two diagonal operators and a sandwich with an
+    identity side."""
     diag = Operator(np.diag(rng.normal(size=dim) + 1j * rng.normal(size=dim)))
     lower = Operator(np.diag(np.ones(dim - 1), k=1))
     a, b = random_hermitian(rng, dim), random_hermitian(rng, dim)
     extra = [ExtraTerm("double_comm", a, b, -0.3),
              ExtraTerm("comm_anticomm", a, b, -0.2j),
-             ExtraTerm("sandwich", a, b, 0.1 + 0.05j)]
+             ExtraTerm("sandwich", a, b, 0.1 + 0.05j),
+             ExtraTerm("double_comm", diag, Operator(np.diag(rng.normal(size=dim))), -0.25),
+             ExtraTerm("sandwich", Operator.identity(dim), b, 0.15 - 0.1j)]
     ham = random_hermitian(rng, dim) - 0.4j * random_hermitian(rng, dim)
     return LindbladGenerator(ham, [(0.7, diag), (0.4, lower)], extra_terms=extra)
 
@@ -68,8 +72,9 @@ def written_out(gen, rho):
 class TestApplyOnStacks:
     def test_stack_equals_per_matrix_apply(self, rng):
         gen = full_generator(rng)
-        # the diagonal L is folded into the kernel; the other is one product,
-        # besides the 2 + 2 + 1 of the extra terms
+        # the diagonal L and the diagonal double commutator fold into the
+        # kernel, the identity-sided sandwich into G'; the other L is one
+        # product, besides the 2 + 2 + 1 of the dense extra terms
         assert gen.kernel is not None and len(gen._products) == 1 + 2 + 2 + 1
         stack = np.stack([random_density(rng, 3).matrix for _ in range(6)])
         got = gen.apply(stack)
@@ -456,7 +461,7 @@ class TestPropagate:
 
     @pytest.mark.parametrize("name, evolver", [
         ("two_packet_collisional", "split_step"),
-        ("dephasing_qubit", "exact"),
+        ("dephasing_qubit", "split_step"),
         ("sw_twin", "split_step"),
         ("qbm_packet", "rk4"),
         ("traj_qubit", "split_step"),

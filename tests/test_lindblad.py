@@ -421,6 +421,17 @@ class TestGenericBornMarkovBuilder:
             out = apply_generator(gen, random_density(rng, 3))
             assert abs(np.trace(out)) < 1e-12
 
+    def test_identity_sides_go_to_g_and_g_prime(self, rng):
+        from decoherence.lindblad import born_markov_generator
+        gen = born_markov_generator(
+            None, [random_hermitian(rng, 4)], [lambda t: np.eye(4) * np.cos(t)],
+            lambda a, b, t: np.exp(-t) * (1.0 + 0.5j), cutoff_time=5.0, n_quadrature=201)
+        # -(S B) rho I and -I rho (C S) join G and G': two products are left
+        assert len(gen._products) == 2
+        rho = random_density(rng, 4).matrix
+        want = sum(t.coeff * t.a.matrix @ rho @ t.b.matrix for t in gen.extra_terms)
+        assert_allclose(gen.apply(rho), want, rtol=0, atol=1e-13)
+
 
 class TestCaldeiraLeggettRepair:
     def setup_ops(self, n=16):

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from decoherence.core import bloch_state
+from decoherence.core import SIGMA_Z, bloch_state
 from decoherence.lindblad import CorrelationKernelSpec, apply_generator
 from decoherence.models import (
     SpinSpinParams,
@@ -65,12 +65,15 @@ class TestPureDephasing:
         assert abs(out[0, 0]) < 1e-12 and abs(out[1, 1]) < 1e-12
 
     def test_zero_hamiltonian_folds_into_the_kernel(self):
-        # at Delta0 = 0 the effective Hamiltonian is zero: no commutator is left
+        # at Delta0 = 0 the effective Hamiltonian is zero and -D [sz, [sz, rho]]
+        # has two diagonal sides: all of it is the kernel -D (s_i - s_j)^2
         gen = spin_boson_born_markov(make_params())
-        # G is the dephasing term's c sz sz = c I alone: H adds nothing to it
-        dephasing = gen.extra_terms[0]
-        assert np.array_equal(gen._g, dephasing.coeff * np.eye(2))
-        assert not np.any(gen.hamiltonian.matrix) and not np.any(gen.kernel)
+        d = -gen.extra_terms[0].coeff
+        s = np.diag(SIGMA_Z.matrix)
+        assert not np.any(gen.hamiltonian.matrix)
+        assert_allclose(gen.kernel, -d * np.subtract.outer(s, s) ** 2, rtol=1e-15, atol=0)
+        assert gen._g is None and gen._g_prime is None and not gen._products
+        assert gen.splits
 
     def test_tunneling_required_to_vanish(self):
         with pytest.raises(ValueError):

@@ -47,6 +47,31 @@ fit = exponential
 """
 
 
+SPIN_SPIN_MI = """
+[scenario]
+name = ss
+model = spin_spin
+seed = 5
+
+[params]
+n_spins = 6
+coupling_scale = 1.0
+
+[initial_state]
+kind = qubit_bloch
+theta = 1.5707963267948966
+
+[integrator]
+dt = 0.05
+t_final = 2.0
+record_stride = 4
+
+[outputs]
+quantities = coherence_magnitude, mutual_information
+fit = gaussian
+"""
+
+
 class TestParsing:
     def test_minimal_config_parses(self):
         cfg = parse_config(MINIMAL_QUBIT)
@@ -212,30 +237,7 @@ x_max = 4.0
         assert (tmp_path / "mini_summary.json").exists()
 
     def test_spin_spin_mutual_information_series(self, tmp_path):
-        text = """
-[scenario]
-name = ss
-model = spin_spin
-seed = 5
-
-[params]
-n_spins = 6
-coupling_scale = 1.0
-
-[initial_state]
-kind = qubit_bloch
-theta = 1.5707963267948966
-
-[integrator]
-dt = 0.05
-t_final = 2.0
-record_stride = 4
-
-[outputs]
-quantities = coherence_magnitude, mutual_information
-fit = gaussian
-"""
-        cfg = parse_config(text)
+        cfg = parse_config(SPIN_SPIN_MI)
         summary = run_scenario(cfg, out_dir=tmp_path)
         rows = (tmp_path / "ss_timeseries.csv").read_text().splitlines()
         header = rows[0].split(",")
@@ -439,6 +441,29 @@ class TestCLI:
 
     def test_missing_file_exits_2(self):
         assert cli_main(["validate", "/nonexistent/nope.cfg"]) == 2
+
+    @pytest.mark.parametrize("text", [
+        MINIMAL_QUBIT.replace("seed = 1", "seed = -1"),
+        CUSTOM_TRAJECTORIES + "seed = -1\n",
+    ], ids=["scenario_seed", "trajectories_seed"])
+    def test_negative_seed_fails_validation(self, tmp_path, capsys, text):
+        path = tmp_path / "neg.cfg"
+        path.write_text(text)
+        assert cli_main(["validate", str(path)]) == 2
+        assert "key 'seed': must be >= 0" in capsys.readouterr().err
+
+    def test_negative_seed_option_exits_2(self, tmp_path, capsys):
+        rc = cli_main(["run", str(SCENARIO_DIR / "dephasing_qubit.cfg"),
+                       "--out", str(tmp_path), "--seed", "-1"])
+        assert rc == 2
+        assert "--seed must be >= 0" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_mutual_information_beyond_ten_spins_fails_validation(self, tmp_path, capsys):
+        path = tmp_path / "ss11.cfg"
+        path.write_text(SPIN_SPIN_MI.replace("n_spins = 6", "n_spins = 11"))
+        assert cli_main(["validate", str(path)]) == 2
+        assert "n_spins <= 10" in capsys.readouterr().err
 
     def test_run_writes_outputs(self, tmp_path, capsys):
         rc = cli_main(["run", str(SCENARIO_DIR / "dephasing_qubit.cfg"),
