@@ -145,10 +145,11 @@ class DensityMatrix:
 
     Small negative eigenvalues in [-clamp, 0), as produced by integrator
     drift, are clamped to zero and the spectrum is renormalized.  Anything
-    more negative raises.
+    more negative raises.  `eigenvalues` keeps the spectrum that check
+    found, after the clamp (None for a pure state built by `_pure`).
     """
 
-    __slots__ = ("matrix", "dim")
+    __slots__ = ("matrix", "dim", "eigenvalues")
 
     def __init__(self, matrix, tol: float = DEFAULT_TOL, clamp: float = EIGENVALUE_CLAMP):
         m = np.array(matrix, dtype=complex)
@@ -173,7 +174,8 @@ class DensityMatrix:
             w = np.clip(w, 0.0, None)
             w = w / np.sum(w)
             m = (v * w) @ v.conj().T
-        self.matrix = _freeze(m)
+        w.setflags(write=False)
+        self.matrix, self.eigenvalues = _freeze(m), w
         self.dim = m.shape[0]
 
     @classmethod
@@ -184,7 +186,7 @@ class DensityMatrix:
         if not abs(tr - 1.0) <= DEFAULT_TOL:
             raise ValueError(f"density matrix trace {tr} deviates from 1")
         rho = object.__new__(cls)
-        rho.matrix, rho.dim = _freeze(0.5 * (m + m.conj().T)), m.shape[0]
+        rho.matrix, rho.dim, rho.eigenvalues = _freeze(0.5 * (m + m.conj().T)), m.shape[0], None
         return rho
 
     @classmethod

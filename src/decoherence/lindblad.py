@@ -19,10 +19,11 @@ places once, at construction: into an elementwise kernel when both sides
 are diagonal, into the no-jump part G rho + rho G' when one side is the
 identity, among the products A rho B otherwise.
 
-`propagate` steps exp(L t) by the split step, the exact propagator of a
-small generator or `evolve`, classical fixed-step 4th-order, whose error
-`convergence_check` estimates by halving dt.  Every stepping evolver of
-the package runs the loop `_march` on the schedule `record_steps`.
+`propagate` takes exp(L t) rho0 straight from rho0 for free motion under a
+quadratic scattering kernel, else steps it by the split step, the exact
+propagator of a small generator or `evolve`, classical fixed-step 4th-order,
+whose error `convergence_check` estimates by halving dt.  Every stepping
+evolver of the package runs the loop `_march` on the schedule `record_steps`.
 """
 
 from __future__ import annotations
@@ -371,6 +372,49 @@ def split_march(gen: LindbladGenerator, rho0: np.ndarray, dt: float, n_steps: in
         yield k, rho0 if k == 0 else record(s)
 
 
+def characteristic(gen: LindbladGenerator, rho0: np.ndarray
+                   ) -> Callable[[float], np.ndarray] | None:
+    """rho_t straight from rho0 for free motion E = eps a^2 on the signed modes
+    a and the kernel K = -lam (i - j)^2, lam >= 0; None for any other generator.
+
+    With c the Fourier coefficients of rho0, l = a - b and s = i - j, both
+    without wrap: rho_t[i, i - s] = sum_l g e^{2 pi i l i / n} sum_b c_{b+l,b}
+    e^{-i eps ((b+l)^2 - b^2) t} e^{2 pi i b s / n}, g = exp(-lam (s^2 t - s l w
+    t^2 + l^2 w^2 t^3 / 3)), w = eps n / pi.  So rho0's first and last rows and
+    columns, in position and in momentum, must be below CP_EIGENVALUE_TOL times
+    its largest entry, else None.  g is the characteristic function of a Gaussian
+    mixture of momentum kicks and translations: every record is completely positive.
+    """
+    e = None if gen.kinetic_kernel is None else gen.hamiltonian.kinetic
+    if not gen.splits or e is None or gen.kernel is None or gen.dim < 2:
+        return None
+    n, k, a = gen.dim, gen.kernel, np.fft.fftfreq(gen.dim, 1.0 / gen.dim)  # a in FFT order
+    rows, cols = np.indices((n, n))
+    eps, lam = e.real[1], -k.real[1, 0]
+    c = scipy.fft.fft(scipy.fft.ifft(rho0, axis=1), axis=0)  # c_ab / n
+    # (departure, scale): E and K off their forms, rho0's edges in x and in k
+    off = [(e - eps * a ** 2, e), (k + lam * (rows - cols) ** 2, k)] + [
+        (m[i], m) for m in (rho0, np.fft.fftshift(c)) for i in (np.s_[[0, -1]], np.s_[:, [0, -1]])]
+    if lam < 0 or any(np.max(np.abs(d)) > CP_EIGENVALUE_TOL * np.max(np.abs(m)) for d, m in off):
+        return None
+    # c_{b+l, b} goes to row l mod 2n and column b mod n
+    onto = (np.subtract.outer(a, a).astype(int) % (2 * n)) * n + cols
+    diagonals = np.zeros((2 * n, n), dtype=complex)
+    ell, s, w = ((np.arange(2 * n) + n) % (2 * n) - n)[:, None], np.arange(n), eps * n / np.pi
+    gather = np.where(rows >= cols, rows * n + rows - cols, cols * n + cols - rows)  # z[i, i - j]
+
+    def record(t: float) -> np.ndarray:
+        u = np.exp(-1j * t * e.real)
+        diagonals.flat[onto] = u[:, None] * c * u.conj()
+        f = scipy.fft.ifft(diagonals, axis=1)
+        f *= np.exp(-lam * t * (s ** 2 - s * ell * w * t + (ell * w * t) ** 2 / 3))
+        rho = scipy.fft.ifft(f[:n] + f[n:], axis=0, norm="forward").take(gather)
+        np.conjugate(rho, out=rho, where=cols > rows)
+        np.fill_diagonal(rho, rho.diagonal().real)
+        return rho
+    return record
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     dt: float
@@ -396,19 +440,19 @@ class IntegratorConfig:
 
 @dataclass
 class EvolutionResult:
-    """Records of one run; a certified step's `states` are built on first use."""
+    """Records of one run; `states` are `validated` as the run went, or on first use."""
 
     times: np.ndarray
     matrices: list[np.ndarray]
     evolver: str
-    _states: list[DensityMatrix] | None = None
+    validated: list[DensityMatrix] | None = None
 
     @property
     def states(self) -> list[DensityMatrix]:
-        if self._states is None:
-            self._states = [_validated(m, t, "check the generator")
-                            for t, m in zip(self.times, self.matrices)]
-        return self._states
+        if self.validated is None:
+            self.validated = [_validated(m, t, "check the generator")
+                              for t, m in zip(self.times, self.matrices)]
+        return self.validated
 
     def final(self) -> DensityMatrix:
         return self.states[-1]
@@ -488,15 +532,23 @@ def evolve(gen: LindbladGenerator, rho0: DensityMatrix,
 
 def propagate(gen: LindbladGenerator, rho0: DensityMatrix,
               cfg: IntegratorConfig) -> EvolutionResult:
-    """Step rho0 by the exact step the generator's structure allows, else RK4.
+    """Record rho0's evolution by the exact route the generator's structure allows, else RK4.
 
-    E(k) plus an elementwise kernel takes `split_march` ("split_step"), any
-    other generator of dim <= EXACT_MAX_DIM its propagator P = expm(L dt)
-    ("exact"), a larger one `evolve` ("rk4").  A step is certified
-    completely positive once per run, by a positive semidefinite Schur
-    factor exp(K dt) or by check_complete_positivity(P); a certified step's
-    records have only their trace checked.
+    Free motion E = eps a^2 with no potential, K = -lam (i - j)^2 with lam >= 0
+    and a rho0 clear of the grid edges, in position and in momentum, take
+    `characteristic` ("characteristic"), each record straight from rho0;
+    any other E(k) plus an elementwise kernel, or rho0 at the edges, `split_march`
+    ("split_step"), any other generator of dim <= EXACT_MAX_DIM its
+    propagator P = expm(L dt) ("exact"), a larger one `evolve` ("rk4").
+    The characteristic records are completely positive by construction, a
+    step is certified once per run by a positive semidefinite Schur factor
+    exp(K dt) or by check_complete_positivity(P); certified records have
+    only their trace checked.
     """
+    record = characteristic(gen, rho0.matrix)
+    if record is not None:
+        march = ((k, record(k * cfg.dt)) for k in record_steps(cfg.n_steps, cfg.record_stride))
+        return _record(gen, rho0, cfg, "characteristic", march, True)
     if gen.splits:
         f = None if gen.kernel is None else np.exp(gen.kernel * cfg.dt)
         cp = f is None or np.linalg.eigvalsh(f)[0] >= -CP_EIGENVALUE_TOL

@@ -27,8 +27,10 @@ def purity(rho: DensityMatrix) -> float:
 
 
 def von_neumann_entropy(rho: DensityMatrix | np.ndarray) -> float:
-    """-sum lambda log2 lambda in bits of a state or a valid state's matrix."""
-    w = np.linalg.eigvalsh(rho.matrix if isinstance(rho, DensityMatrix) else rho)
+    """-sum lambda log2 lambda in bits of a state, from the spectrum its
+    validation kept where it has one, or of a valid state's matrix."""
+    m, w = (rho.matrix, rho.eigenvalues) if isinstance(rho, DensityMatrix) else (rho, None)
+    w = np.linalg.eigvalsh(m) if w is None else w
     w = w[w > ENTROPY_EIGENVALUE_FLOOR]
     return float(-np.sum(w * np.log2(w)))
 

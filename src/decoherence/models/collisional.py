@@ -14,13 +14,11 @@ the kernel K of one of two regimes:
 
 `scattering_kernel` is that one kernel.  The generator carries it as its
 elementwise dissipator and the free kinetic term p^2/2M as a grid operator
-that is diagonal in momentum (spectral, Fourier).  So the generator is
-"E(k) plus an elementwise x-kernel", and `collisional_evolve_split_step`
-and `lindblad.propagate` step it by `lindblad.split_march` in both
-regimes: the kinetic term exact as phases in momentum space, the scattering
-as the pointwise factor exp(K dt) in position space, both on the real
-matrix Re rho + Im rho by real FFTs.  The state stays in momentum space
-between records, so adjacent kinetic half steps fuse into one phase.
+that is diagonal in momentum.  In the long-wavelength regime, for a state
+clear of the grid edges, `lindblad.propagate` takes each record straight
+from rho0 by the characteristic-function solution (Unruh & Zurek, PRD 40,
+1071, 1989).  Otherwise, and in `collisional_evolve_split_step`, it steps
+`lindblad.split_march`: exact kinetic phases in momentum, exp(K dt) in position.
 """
 
 from __future__ import annotations

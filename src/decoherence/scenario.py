@@ -625,7 +625,7 @@ def _run_master_equation(cfg: ScenarioConfig, summary: dict, out_dir: Path) -> d
     if "purity" in quantities:
         series["purity"] = [float(np.real(np.trace(m @ m))) for m in mats]
     if "entropy" in quantities:
-        series["entropy"] = [measures.von_neumann_entropy(m) for m in mats]
+        series["entropy"] = [measures.von_neumann_entropy(r) for r in res.validated or mats]
     if "coherence_magnitude" in quantities and grid is not None:
         # beyond the packets' separation, or two widths of a single packet
         threshold = st["x0"] if st["kind"] == "two_packet_cat" else 2.0 * st["sigma"]

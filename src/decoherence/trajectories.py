@@ -33,7 +33,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .core import DensityMatrix, Operator, write_csv
-from .lindblad import LindbladGenerator, _march, record_steps
+from .lindblad import LindbladGenerator, PositivityLossError, _march, record_steps
 
 TRACE_DRIFT_LIMIT = 1e-4
 #: Hermiticity tolerance for the Hamiltonian and the Lindblad operators.
@@ -77,12 +77,17 @@ class StepInstabilityError(RuntimeError):
     """Per-trajectory trace drift exceeded tolerance; dt is too large."""
 
 
-def _gaussian_increments(seed: int, traj_index: int, n_steps: int,
+def _gaussian_increments(seed: int, n_trajectories: int, n_steps: int,
                          n_ops: int, dt: float) -> np.ndarray:
-    """Wiener increments (n_steps, n_ops) of one trajectory from its own
-    substream: Philox(key=seed) jumped traj_index times, by the counter."""
-    stream = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, traj_index, 0]))
-    u = stream.random((n_steps, n_ops))
+    """Wiener increments (n_steps, n_ops, n_trajectories), trajectory j's from its
+    own substream: Philox(key=seed) jumped j times, one bit generator set to counter j."""
+    bits = np.random.Philox(key=seed)
+    stream, state = np.random.Generator(bits), bits.state  # an empty buffer
+    u = np.empty((n_steps, n_ops, n_trajectories))
+    for j in range(n_trajectories):
+        state["state"]["counter"] = [0, 0, j, 0]
+        bits.state = state
+        u[..., j] = stream.random((n_steps, n_ops))
     # inverse-CDF transform pins the mapping from uniforms to Gaussians
     return ndtri(u) * math.sqrt(dt)
 
@@ -114,9 +119,7 @@ def unravel(gen: LindbladGenerator, rho0: DensityMatrix,
     n, dim = cfg.n_trajectories, gen.dim
     batch0 = np.broadcast_to(rho0.matrix, (n, dim, dim)).copy()
     states = np.empty((n, len(steps), dim, dim), dtype=complex)
-    dw = np.empty((n_steps, len(noise_ops), n))  # step-major: each step's row is contiguous
-    for j in range(n):
-        dw[..., j] = _gaussian_increments(cfg.seed, j, n_steps, len(noise_ops), cfg.dt)
+    dw = _gaussian_increments(cfg.seed, n, n_steps, len(noise_ops), cfg.dt)
 
     def euler_maruyama(k: int, rho: np.ndarray) -> np.ndarray:
         new = rho + cfg.dt * gen.apply(rho)
@@ -141,10 +144,13 @@ def unravel(gen: LindbladGenerator, rho0: DensityMatrix,
     # conditioned states fluctuate O(sqrt(dt)) around the positive cone, so
     # the mean is validated with a correspondingly loose clamp; anything
     # beyond the percent level still signals a broken run.
-    mean_raw = np.mean(states, axis=0)
-    ensemble_mean = [DensityMatrix(0.5 * (m + m.conj().T), tol=1e-2, clamp=1e-2)
-                     for m in mean_raw]
     times = np.array(steps, dtype=float) * cfg.dt
+    ensemble_mean = []
+    for t, m in zip(times, np.mean(states, axis=0)):
+        try:
+            ensemble_mean.append(DensityMatrix(0.5 * (m + m.conj().T), tol=1e-2, clamp=1e-2))
+        except ValueError as exc:
+            raise PositivityLossError(f"ensemble mean: {exc} at t={t:.6g}; reduce dt") from exc
     return TrajectoryEnsemble(times, states, ensemble_mean)
 
 

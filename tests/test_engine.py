@@ -12,6 +12,7 @@ import pytest
 import scipy.fft
 import scipy.linalg
 from numpy.testing import assert_allclose
+from scipy.sparse.linalg import expm_multiply
 
 from decoherence.core import KET_PLUS, DensityMatrix, Grid1D, GridOperator, Operator, SIGMA_Z
 from decoherence.lindblad import (
@@ -20,12 +21,14 @@ from decoherence.lindblad import (
     LindbladGenerator,
     PositivityLossError,
     _march,
+    characteristic,
     evolve,
     propagate,
     pure_dephasing_qubit,
     record_steps,
     split_march,
 )
+from decoherence.measures import von_neumann_entropy
 from decoherence.models import (
     CollisionalParams,
     collisional_evolve_split_step,
@@ -393,6 +396,89 @@ class TestSingleValidationPass:
             # the certificate; each record then has its trace checked only
             assert res.evolver == evolver and eig_calls == ["eigvalsh"]
 
+    def test_characteristic_route_decomposes_nothing(self, eig_calls):
+        grid = Grid1D(48, -6.0, 6.0)
+        gen = collisional_generator(CollisionalParams(Lambda=0.5), grid)
+        res = propagate(gen, grid.two_packet_cat(1.5, 0.5).density(),
+                        IntegratorConfig(0.05, 1.0, 4))
+        assert res.evolver == "characteristic" and eig_calls == []
+        for m in res.matrices:
+            assert np.array_equal(m, m.conj().T)
+            assert np.linalg.eigvalsh(m)[0] >= -1e-12
+
+    def test_rk4_entropy_takes_the_validation_spectrum(self, tmp_path, monkeypatch, eig_calls):
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        import workloads
+        cfg = parse_config(workloads.Scenarios(ROOT, 1, tmp_path).generated()["qbm_packet"])
+        cfg.integrator = {"dt": 0.01, "t_final": 0.1, "record_stride": 5}
+        cfg.outputs = {**cfg.outputs, "quantities": ("entropy",)}
+        run_scenario(cfg, out_dir=tmp_path)
+        # one eigh per record after the first; eigvalsh only for the pure rho0
+        assert eig_calls == ["eigh", "eigh", "eigvalsh"]
+
+    def test_state_keeps_its_clamped_spectrum(self):
+        # eigenvalues -5e-10 and 1 + 5e-10: clamped to (0, 1) and renormalized
+        rho = DensityMatrix(np.diag([1.0 + 5e-10, -5e-10]))
+        assert np.array_equal(rho.eigenvalues, [0.0, 1.0])
+        assert von_neumann_entropy(rho) == 0.0
+
+
+class TestCharacteristic:
+    """Free motion under K = -Lambda (x - x')^2: every record straight from rho0."""
+
+    @staticmethod
+    def shipped():
+        cfg = parse_config((ROOT / "scenarios" / "two_packet_collisional.cfg").read_text())
+        p, g, st = cfg.params, cfg.grid, cfg.initial_state
+        grid = Grid1D(g["n_points"], g["x_min"], g["x_max"])
+        gen = collisional_generator(CollisionalParams(Lambda=p["lambda"], mass=p["mass"]), grid)
+        return (gen, grid.two_packet_cat(st["x0"], st["sigma"]).density(),
+                IntegratorConfig(**cfg.integrator))
+
+    def test_matches_the_exponential_oracle(self):
+        grid = Grid1D(48, -6.0, 6.0)
+        gen = collisional_generator(CollisionalParams(Lambda=0.5, mass=1.0), grid)
+        rho0 = grid.gaussian_packet(0.0, 0.5).density()
+        res = propagate(gen, rho0, IntegratorConfig(0.5, 0.5))
+        assert res.evolver == "characteristic"
+        # expm(L t) rho0 by its action, not the 2304^2 matrix; the split step
+        # at dt = 0.01 is 6e-7 away
+        want = expm_multiply(gen.superoperator() * 0.5, rho0.matrix.reshape(-1))
+        assert np.max(np.abs(res.matrices[-1] - want.reshape(48, 48))) < 1e-10
+
+    def test_shipped_file_is_the_small_step_limit_of_the_split_step(self):
+        gen, rho0, cfg = self.shipped()
+        res = propagate(gen, rho0, cfg)
+        assert res.evolver == "characteristic"
+        for refine, tol in ((1, 1e-10), (10, 1e-11)):
+            march = split_march(gen, rho0.matrix, cfg.dt / refine, refine * cfg.n_steps,
+                                refine * cfg.record_stride)
+            for got, (_, want) in zip(res.matrices, march, strict=True):
+                assert np.max(np.abs(got - want)) < tol
+
+    @pytest.mark.parametrize("case", ["position_edge", "momentum_edge", "short_wavelength",
+                                      "potential", "anti_scattering"])
+    def test_anything_else_keeps_the_split_step(self, case):
+        grid = Grid1D(48, -6.0, 6.0)
+        kernel = collisional_generator(CollisionalParams(Lambda=0.5), grid).kernel
+        h, rho0 = grid.kinetic_hamiltonian(1.0), grid.gaussian_packet(0.0, 0.5).density()
+        if case == "position_edge":  # the 16-point state of the split-step tests
+            grid = Grid1D(16, -2.0, 2.0)
+            kernel = collisional_generator(CollisionalParams(Lambda=0.5), grid).kernel
+            h, rho0 = grid.kinetic_hamiltonian(1.0), grid.gaussian_packet(0.0, 0.6).density()
+        elif case == "momentum_edge":  # a width of under one point
+            rho0 = grid.gaussian_packet(0.0, 0.1).density()
+        elif case == "short_wavelength":
+            kernel = -0.5 * (1.0 - np.eye(48))
+        elif case == "potential":
+            h = GridOperator(h.kinetic, 0.1 * grid.x ** 2)
+        else:
+            kernel = -kernel
+        gen = LindbladGenerator(h, kernel=kernel)
+        assert gen.splits and characteristic(gen, rho0.matrix) is None
+        if case != "anti_scattering":  # which loses positivity at once
+            assert propagate(gen, rho0, IntegratorConfig(1e-2, 0.02)).evolver == "split_step"
+
 
 class TestPropagate:
     """propagate picks split step, exact propagator or RK4 from the generator."""
@@ -460,7 +546,7 @@ class TestPropagate:
         assert "stability limit" not in str(exc.value)
 
     @pytest.mark.parametrize("name, evolver", [
-        ("two_packet_collisional", "split_step"),
+        ("two_packet_collisional", "characteristic"),
         ("dephasing_qubit", "split_step"),
         ("sw_twin", "split_step"),
         ("qbm_packet", "rk4"),

@@ -11,6 +11,7 @@ from decoherence.lindblad import (
     IntegratorConfig,
     LindbladGenerator,
     PURE_DEPHASING_RATE_FACTOR,
+    PositivityLossError,
     evolve,
     pure_dephasing_qubit,
     record_steps,
@@ -92,6 +93,15 @@ class TestUnravelBasics:
                     TrajectoryConfig(4, dt=2.0, t_final=40.0, seed=1,
                                      record_stride=1))
 
+    def test_negative_ensemble_mean_names_its_time_and_dt(self):
+        # sigma_z dephasing at rate 10 and dt = 0.25: each Euler step takes
+        # rho01 to (1 - 2 * 10 * 0.25) rho01 = -4 rho01, the mean off the cone
+        gen = LindbladGenerator(None, [(10.0, SIGMA_Z)])
+        with pytest.raises(PositivityLossError,
+                           match=r"ensemble mean: density matrix has negative eigenvalue "
+                                 r".* at t=0\.25; reduce dt"):
+            unravel(gen, KET_PLUS.density(), TrajectoryConfig(4, dt=0.25, t_final=1.0, seed=1))
+
     def test_extra_terms_rejected(self):
         gen = LindbladGenerator(None, [(0.5, SIGMA_Z)],
                                 extra_terms=[ExtraTerm("double_comm", SIGMA_Z,
@@ -127,10 +137,10 @@ class TestDeterminism:
         # trajectory j draws what the ensemble's seeded generator, jumped j
         # times, draws
         base = np.random.Philox(key=1234)
+        dw = _gaussian_increments(1234, 2000, 50, 2, 1e-3)
         for j in (3, 0, 2, 1, 1999):
             u = np.random.Generator(base.jumped(j)).random((50, 2))
-            assert np.array_equal(_gaussian_increments(1234, j, 50, 2, 1e-3),
-                                  ndtri(u) * math.sqrt(1e-3))
+            assert np.array_equal(dw[..., j], ndtri(u) * math.sqrt(1e-3))
 
     def test_different_seeds_differ(self):
         a = unravel(DEPHASING, KET_PLUS.density(),
@@ -145,8 +155,10 @@ def matmul_unravel(gen, rho0, cfg):
     measurement term in matmul form L rho + rho L^dag."""
     recorded = set(record_steps(cfg.n_steps, cfg.record_stride))
     states = []
+    increments = _gaussian_increments(cfg.seed, cfg.n_trajectories, cfg.n_steps,
+                                      len(gen.lindblad_ops), cfg.dt)
     for j in range(cfg.n_trajectories):
-        dw = _gaussian_increments(cfg.seed, j, cfg.n_steps, len(gen.lindblad_ops), cfg.dt)
+        dw = increments[..., j]
         rho = rho0.matrix.copy()
         path = [rho]
         for k in range(cfg.n_steps):
