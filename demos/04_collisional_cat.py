@@ -10,8 +10,9 @@ packets damps away.
 import numpy as np
 
 from decoherence.core import Grid1D
+from decoherence.lindblad import IntegratorConfig, propagate
 from decoherence.measures import wigner
-from decoherence.models import CollisionalParams, collisional_evolve_split_step
+from decoherence.models import CollisionalParams, collisional_generator
 
 grid = Grid1D(256, -8.0, 8.0)
 params = CollisionalParams(Lambda=0.05, mass=50.0)
@@ -20,9 +21,11 @@ psi0 = grid.two_packet_cat(x0, sigma)
 tau = 1.0 / (params.Lambda * (2 * x0) ** 2)  # characteristic decay time
 print(f"separation {2 * x0}, decoherence time 1/(Lambda dx^2) = {tau:.2f}")
 
-times, mats = collisional_evolve_split_step(params, grid, psi0,
-                                            dt=0.01, n_steps=625,
-                                            record_stride=125)
+# free motion plus long-wavelength scattering: propagate computes each
+# record in closed form from psi0, with no time steps
+res = propagate(collisional_generator(params, grid), psi0.density(),
+                IntegratorConfig(dt=0.01, t_final=6.25, record_stride=125))
+times, mats = res.times, res.matrices
 
 i = int(np.argmin(np.abs(grid.x - x0)))
 j = int(np.argmin(np.abs(grid.x + x0)))

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import measures
-from .core import SIGMA_X, DensityMatrix, Grid1D, Operator, StateVector, bloch_state
+from .core import SIGMA_X, Grid1D, Operator, bloch_state
 from .core import write_csv as _write_csv
 from .lindblad import (
     IntegratorConfig,
@@ -356,9 +356,10 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError("position_density needs a position-grid model")
     if "mutual_information" in outputs["quantities"] and model != "spin_spin":
         raise ConfigError("mutual_information is available for the spin_spin model")
-    if "mutual_information" in outputs["quantities"] and params["n_spins"] > 10:
-        raise ConfigError("mutual_information needs n_spins <= 10 "
-                          "(exact joint-state evolution)")
+    for t in outputs["wigner_times"]:
+        if not 0.0 <= t <= integ["t_final"]:
+            raise ConfigError(f"wigner_times: {t!r} lies outside [0, t_final] "
+                              f"with t_final = {integ['t_final']!r}")
 
     grid = None
     if mschema["needs_grid"]:
@@ -537,18 +538,18 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path = ".") -> dict:
 
     try:
         if cfg.model == "cavity_cat":
-            series = _run_cavity(cfg, summary)
+            times, records, columns = _run_cavity(cfg, summary)
         elif cfg.model == "spin_spin":
-            series = _run_spin_spin(cfg, summary)
+            times, records, columns = _run_spin_spin(cfg, summary)
         else:
-            series = _run_master_equation(cfg, summary, out_dir)
+            times, records, columns = _run_master_equation(cfg, summary, out_dir)
+        series = {**_tabulate(records, quantities), **columns}
     except ConfigError:
         raise
     except (PositivityLossError, QuadratureError, FloatingPointError,
             np.linalg.LinAlgError, ValueError, RuntimeError) as exc:
         raise NumericalFailure(str(exc)) from exc
 
-    times = series.pop("t")
     # requested quantities first, then derived companions (rho01 parts etc.)
     table_quantities = [q for q in quantities if q in series]
     table_quantities += [q for q in series if q not in table_quantities]
@@ -591,8 +592,39 @@ def _generator(cfg: ScenarioConfig, grid: Grid1D | None) -> LindbladGenerator:
     return caldeira_leggett_generator(qp, grid, include_dissipation=p["dissipation"])
 
 
-def _run_master_equation(cfg: ScenarioConfig, summary: dict, out_dir: Path) -> dict:
-    """Evolve a master-equation model and tabulate its requested quantities.
+def _tabulate(records: list | np.ndarray, quantities) -> dict:
+    """The requested columns that every model computes from its records rho(t):
+    purity, entropy in bits and, for a qubit in a joint pure state with its
+    bath, I(S:E) = S(rho_S) + S(rho_E) - S(rho_SE) = 2 S(rho_S).
+
+    Records are validated states or matrices; entropy takes the spectrum a
+    validated state kept.
+    """
+    series = {}
+    if "purity" in quantities:
+        mats = (getattr(r, "matrix", r) for r in records)
+        series["purity"] = np.array([np.real(np.trace(m @ m)) for m in mats])
+    if "entropy" in quantities or "mutual_information" in quantities:
+        entropy = np.array([measures.von_neumann_entropy(r) for r in records])
+        if "entropy" in quantities:
+            series["entropy"] = entropy
+        if "mutual_information" in quantities:
+            series["mutual_information"] = 2.0 * entropy
+    return series
+
+
+def _qubit_records(p0: float, p1: float, rho01: np.ndarray) -> np.ndarray:
+    """Records [[p0, rho01], [rho01*, p1]] of a qubit whose populations stay
+    fixed while its coherence rho01(t) changes."""
+    records = np.empty((len(rho01), 2, 2), dtype=complex)
+    records[:, 0, 0], records[:, 1, 1] = p0, p1
+    records[:, 0, 1], records[:, 1, 0] = rho01, np.conj(rho01)
+    return records
+
+
+def _run_master_equation(cfg: ScenarioConfig, summary: dict, out_dir: Path) -> tuple:
+    """Evolve a master-equation model: its record times, its records and its
+    own columns.
 
     Grid models (collisional, qbm, caldeira_leggett) start from a packet
     state and add position densities and Wigner snapshots; qubit models
@@ -621,11 +653,7 @@ def _run_master_equation(cfg: ScenarioConfig, summary: dict, out_dir: Path) -> d
         dephasing = next(t for t in gen.extra_terms if t.label == "dephasing")
         summary["model_info"]["dephasing_strength"] = float(-np.real(dephasing.coeff))
 
-    series: dict = {"t": list(times)}
-    if "purity" in quantities:
-        series["purity"] = [float(np.real(np.trace(m @ m))) for m in mats]
-    if "entropy" in quantities:
-        series["entropy"] = [measures.von_neumann_entropy(r) for r in res.validated or mats]
+    series = {}
     if "coherence_magnitude" in quantities and grid is not None:
         # beyond the packets' separation, or two widths of a single packet
         threshold = st["x0"] if st["kind"] == "two_packet_cat" else 2.0 * st["sigma"]
@@ -666,66 +694,32 @@ def _run_master_equation(cfg: ScenarioConfig, summary: dict, out_dir: Path) -> d
         _write_csv(path, ["t", "mean_sx", "stderr_sx"],
                    [stats["times"], stats["mean"], stats["stderr"]])
         summary["files"]["trajectories"] = path.name
-    return series
+    return times, res.validated or mats, series
 
 
-def _run_spin_spin(cfg: ScenarioConfig, summary: dict) -> dict:
+def _run_spin_spin(cfg: ScenarioConfig, summary: dict) -> tuple:
+    """The qubit's record times, its records rho_01(t) = a0 a1* z(t) from the
+    bath's decoherence factor z, and its coherence column."""
     p = cfg.params
     st = cfg.initial_state
     rng = np.random.default_rng(cfg.seed)
     couplings = rng.uniform(0.0, p["coupling_scale"], size=p["n_spins"])
-    params = SpinSpinParams.plus_states(couplings)
     times = IntegratorConfig(**cfg.integrator).record_times()
-    z = spin_spin_coherence_factor(params, times)
-
-    psi0 = bloch_state(st["theta"], st["phi"])
-    rho01_0 = complex(psi0.amplitudes[1].conjugate() * psi0.amplitudes[0])
-    pops = (abs(psi0.amplitudes[0]) ** 2, abs(psi0.amplitudes[1]) ** 2)
-
-    series: dict = {"t": list(times)}
-    quantities = cfg.outputs["quantities"]
-    coh = np.abs(rho01_0) * np.abs(z)
-    if "coherence_magnitude" in quantities:
-        series["coherence_magnitude"] = [float(c) for c in coh]
-    if "purity" in quantities or "entropy" in quantities:
-        purities, entropies = [], []
-        for c in coh:
-            m = np.array([[pops[0], c], [c, pops[1]]], dtype=complex)
-            dm = DensityMatrix(m)
-            purities.append(measures.purity(dm))
-            entropies.append(measures.von_neumann_entropy(dm))
-        if "purity" in quantities:
-            series["purity"] = purities
-        if "entropy" in quantities:
-            series["entropy"] = entropies
-    if "mutual_information" in quantities:
-        series["mutual_information"] = _spin_spin_mutual_information(
-            params, psi0, times)
+    z = spin_spin_coherence_factor(SpinSpinParams.plus_states(couplings), times)
+    a0, a1 = bloch_state(st["theta"], st["phi"]).amplitudes
+    rho01 = a0 * np.conj(a1) * z
+    series = {}
+    if "coherence_magnitude" in cfg.outputs["quantities"]:
+        series["coherence_magnitude"] = np.abs(rho01)
     summary["model_info"]["gaussian_rate_estimate"] = float(
         np.sqrt(0.5 * np.sum(couplings ** 2)))
-    return series
+    return times, _qubit_records(abs(a0) ** 2, abs(a1) ** 2, rho01), series
 
 
-def _spin_spin_mutual_information(params: SpinSpinParams, psi0: StateVector,
-                                  times: np.ndarray) -> list[float]:
-    n = params.n_spins
-    bits = ((np.arange(2 ** n)[:, None] >> np.arange(n)[::-1][None, :]) & 1)
-    signs = 1.0 - 2.0 * bits
-    e_diag = signs @ params.couplings
-    env = np.ones(1, dtype=complex)
-    for i in range(n):
-        env = np.kron(env, np.array([params.alphas[i], params.betas[i]]))
-    out = []
-    for t in times:
-        ph0 = np.exp(-0.5j * e_diag * t) * env
-        ph1 = np.exp(+0.5j * e_diag * t) * env
-        joint = np.concatenate([psi0.amplitudes[0] * ph0, psi0.amplitudes[1] * ph1])
-        rho = DensityMatrix(np.outer(joint, joint.conj()))
-        out.append(measures.quantum_mutual_information(rho, (2, 2 ** n)))
-    return out
-
-
-def _run_cavity(cfg: ScenarioConfig, summary: dict) -> dict:
+def _run_cavity(cfg: ScenarioConfig, summary: dict) -> tuple:
+    """The cat's record times, its records: an equal-weight two-component
+    superposition whose cross term decays as c = exp(-t / T_d), and its
+    visibility c and two-atom correlation c / 2."""
     p = cfg.params
     st = cfg.initial_state
     params = CavityCatParams(nbar=abs(st["alpha"]) ** 2, chi=st["chi"], Tr=p["damping_time"])
@@ -740,20 +734,11 @@ def _run_cavity(cfg: ScenarioConfig, summary: dict) -> dict:
         "decoherence_time": t_d,
         "two_atom_eta_initial": 0.5,
     })
-    series = {"t": list(times)}
+    series = {}
     if "coherence_magnitude" in cfg.outputs["quantities"]:
-        series["coherence_magnitude"] = [float(c) for c in coh]
-        series["two_atom_eta"] = [float(0.5 * c) for c in coh]
-    if "purity" in cfg.outputs["quantities"]:
-        # equal-weight two-component superposition losing its cross term
-        series["purity"] = [float(0.5 * (1.0 + c * c)) for c in coh]
-    if "entropy" in cfg.outputs["quantities"]:
-        ent = []
-        for c in coh:
-            lams = (0.5 * (1 + c), 0.5 * (1 - c))
-            ent.append(float(-sum(l * math.log2(l) for l in lams if l > 1e-12)))
-        series["entropy"] = ent
-    return series
+        series["coherence_magnitude"] = coh
+        series["two_atom_eta"] = 0.5 * coh
+    return times, _qubit_records(0.5, 0.5, 0.5 * coh), series
 
 
 # ---------------------------------------------------------------------------

@@ -344,12 +344,14 @@ t_final = {self.T_FINAL}
 record_stride = {self.STRIDE}
 
 [outputs]
-quantities = coherence_magnitude
+quantities = coherence_magnitude{", mutual_information" if model == "spin_spin" else ""}
 """)
         run_scenario(cfg, out_dir=tmp_path)
         with open(tmp_path / "sched_timeseries.csv") as fh:
-            times = [float(row["t"]) for row in csv.DictReader(fh)]
-        assert np.array_equal(times, self.WANT)
+            rows = list(csv.DictReader(fh))
+        assert np.array_equal([float(row["t"]) for row in rows], self.WANT)
+        if model == "spin_spin":
+            assert all(float(row["mutual_information"]) >= 0.0 for row in rows)
 
 
 class TestSingleValidationPass:

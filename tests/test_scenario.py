@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,9 @@ import pytest
 
 import decoherence
 from decoherence.cli import main as cli_main
+from decoherence.core import DensityMatrix, bloch_state
+from decoherence.measures import quantum_mutual_information
+from decoherence.models import SpinSpinParams
 from decoherence.scenario import (
     ConfigError,
     MODEL_SCHEMAS,
@@ -72,6 +76,37 @@ fit = gaussian
 """
 
 
+def _columns(path: Path) -> dict[str, np.ndarray]:
+    rows = np.genfromtxt(path, delimiter=",", names=True)
+    return {name: rows[name] for name in rows.dtype.names}
+
+
+def _entropy_bits(lams: np.ndarray) -> np.ndarray:
+    """-sum lambda log2 lambda over axis 0, counting eigenvalues above 1e-12."""
+    kept = np.where(lams > 1e-12, lams, 1.0)
+    return -np.sum(kept * np.log2(kept), axis=0)
+
+
+def _joint_state_mutual_information(params: SpinSpinParams, theta: float, phi: float,
+                                    times: np.ndarray) -> np.ndarray:
+    """I(S:E) from the 2^(n+1)-dimensional joint pure state of the qubit and
+    its static spin bath, evolved by the diagonal sigma_z sigma_z coupling."""
+    n = params.n_spins
+    bits = (np.arange(2 ** n)[:, None] >> np.arange(n)[::-1][None, :]) & 1
+    e_diag = (1.0 - 2.0 * bits) @ params.couplings
+    env = np.ones(1, dtype=complex)
+    for i in range(n):
+        env = np.kron(env, np.array([params.alphas[i], params.betas[i]]))
+    a0, a1 = bloch_state(theta, phi).amplitudes
+    out = []
+    for t in times:
+        joint = np.concatenate([a0 * np.exp(-0.5j * e_diag * t) * env,
+                                a1 * np.exp(+0.5j * e_diag * t) * env])
+        rho = DensityMatrix(np.outer(joint, joint.conj()))
+        out.append(quantum_mutual_information(rho, (2, 2 ** n)))
+    return np.array(out)
+
+
 class TestParsing:
     def test_minimal_config_parses(self):
         cfg = parse_config(MINIMAL_QUBIT)
@@ -116,6 +151,12 @@ class TestParsing:
                      "lambda = 1.0")
         with pytest.raises(ConfigError, match="grid"):
             parse_config(text)
+
+    @pytest.mark.parametrize("t", ["-0.01", "0.2"])
+    def test_wigner_time_outside_the_run_rejected(self, t):
+        parse_config(GRID_SNAPSHOTS)  # 0.0 and t_final itself are inside
+        with pytest.raises(ConfigError, match=f"{t} lies outside .*t_final = 0.1"):
+            parse_config(GRID_SNAPSHOTS.replace("0.0, 0.1", f"0.0, {t}"))
 
     def test_shipped_scenarios_validate(self):
         for path in sorted(SCENARIO_DIR.glob("*.cfg")):
@@ -228,6 +269,36 @@ x_max = 4.0
         fit = summary["fits"]["coherence_magnitude"]
         assert fit["rate"] == pytest.approx(1.0 / info["decoherence_time"], rel=1e-6)
 
+    def test_cavity_purity_and_entropy_are_the_two_level_closed_forms(self, tmp_path):
+        # rho = [[1, c], [c, 1]] / 2 with c = exp(-t / T_d): eigenvalues (1 +- c) / 2
+        cfg = parse_config((SCENARIO_DIR / "cavity_cat.cfg").read_text())
+        summary = run_scenario(cfg, out_dir=tmp_path)
+        ts = _columns(tmp_path / "cavity_cat_timeseries.csv")
+        c = np.exp(-ts["t"] / summary["model_info"]["decoherence_time"])
+        assert np.max(np.abs(ts["purity"] - 0.5 * (1.0 + c * c))) <= 1e-15
+        want = _entropy_bits(np.stack([0.5 * (1.0 + c), 0.5 * (1.0 - c)]))
+        assert np.max(np.abs(ts["entropy"] - want)) <= 1e-15
+
+    @pytest.mark.parametrize("n_spins, seed", [(4, 11), (6, 12), (8, 13)])
+    def test_spin_spin_mutual_information_matches_the_joint_state(self, tmp_path,
+                                                                  n_spins, seed):
+        theta, phi = 1.2, 0.3
+        text = (SPIN_SPIN_MI.replace("n_spins = 6", f"n_spins = {n_spins}")
+                .replace("seed = 5", f"seed = {seed}")
+                .replace("theta = 1.5707963267948966", f"theta = {theta}\nphi = {phi}")
+                .replace("t_final = 2.0\nrecord_stride = 4",
+                         "t_final = 1.0\nrecord_stride = 2"))
+        cfg = parse_config(text)
+        run_scenario(cfg, out_dir=tmp_path)
+        ts = _columns(tmp_path / "ss_timeseries.csv")
+        # the runner's couplings: uniform on [0, coupling_scale] from the seed
+        couplings = np.random.default_rng(seed).uniform(0.0, 1.0, size=n_spins)
+        want = _joint_state_mutual_information(SpinSpinParams.plus_states(couplings),
+                                               theta, phi, ts["t"])
+        assert len(ts["t"]) == 11
+        assert np.max(np.abs(ts["mutual_information"] - want)) <= 1e-12
+        assert want[-1] > 0.5
+
     def test_empty_outputs_summary_only(self, tmp_path):
         text = MINIMAL_QUBIT.replace(
             "quantities = coherence_magnitude, purity", "quantities =")
@@ -318,6 +389,34 @@ quantities = coherence_magnitude
 
 [trajectories]
 n_trajectories = 16
+"""
+
+GRID_SNAPSHOTS = """
+[scenario]
+name = snaps
+model = collisional
+
+[params]
+lambda = 0.5
+free_dynamics = false
+
+[initial_state]
+kind = gaussian_packet
+sigma = 0.5
+
+[integrator]
+dt = 0.01
+t_final = 0.1
+record_stride = 5
+
+[outputs]
+quantities = wigner_snapshots
+wigner_times = 0.0, 0.1
+
+[grid]
+n_points = 64
+x_min = -6.0
+x_max = 6.0
 """
 
 
@@ -459,11 +558,23 @@ class TestCLI:
         assert "--seed must be >= 0" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
-    def test_mutual_information_beyond_ten_spins_fails_validation(self, tmp_path, capsys):
-        path = tmp_path / "ss11.cfg"
-        path.write_text(SPIN_SPIN_MI.replace("n_spins = 6", "n_spins = 11"))
-        assert cli_main(["validate", str(path)]) == 2
-        assert "n_spins <= 10" in capsys.readouterr().err
+    def test_mutual_information_of_128_spins_validates_and_runs(self, tmp_path):
+        # I(S:E) = 2 S(rho_S) needs no joint state, so the bath size is not capped
+        path = tmp_path / "ss128.cfg"
+        path.write_text(SPIN_SPIN_MI.replace("n_spins = 6", "n_spins = 128").replace(
+            "coherence_magnitude, mutual_information",
+            "coherence_magnitude, entropy, mutual_information"))
+        assert cli_main(["validate", str(path)]) == 0
+        start = time.perf_counter()
+        assert cli_main(["run", str(path), "--out", str(tmp_path)]) == 0
+        assert time.perf_counter() - start < 1.0
+        ts = _columns(tmp_path / "ss_timeseries.csv")
+        assert np.array_equal(ts["mutual_information"], 2.0 * ts["entropy"])
+        # an equatorial qubit's eigenvalues are (1 +- 2 |rho01|) / 2
+        r = 2.0 * ts["coherence_magnitude"]
+        want = _entropy_bits(np.stack([0.5 * (1.0 + r), 0.5 * (1.0 - r)]))
+        assert np.max(np.abs(ts["entropy"] - want)) <= 1e-12
+        assert ts["mutual_information"][-1] > 1.9
 
     def test_run_writes_outputs(self, tmp_path, capsys):
         rc = cli_main(["run", str(SCENARIO_DIR / "dephasing_qubit.cfg"),
@@ -603,9 +714,12 @@ x_max = 8.0
         CUSTOM_TRAJECTORIES + "dt = 1.0\n",
         # a record interval of 10 * 0.01 is not a whole number of 0.03 steps
         CUSTOM_TRAJECTORIES + "dt = 0.03\n",
+        # a Wigner snapshot after the last record
+        GRID_SNAPSHOTS.replace("wigner_times = 0.0, 0.1", "wigner_times = 0.0, 0.2"),
     ], ids=["non_hermitian_h", "spin_boson_trajectories",
             "non_hermitian_l_trajectories", "t_final_below_dt",
-            "t_final_below_trajectory_dt", "trajectory_dt_not_dividing_record_interval"])
+            "t_final_below_trajectory_dt", "trajectory_dt_not_dividing_record_interval",
+            "wigner_time_past_t_final"])
     def test_input_errors_exit_2(self, tmp_path, text):
         path = tmp_path / "bad.cfg"
         path.write_text(text)
