@@ -131,7 +131,12 @@ class StateVector:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
     def density(self) -> "DensityMatrix":
-        return DensityMatrix._pure(self.amplitudes)
+        """|a><a|: positive by construction, so only the trace is checked."""
+        m = np.outer(self.amplitudes, self.amplitudes.conj())
+        tr = np.trace(m)
+        if not abs(tr - 1.0) <= DEFAULT_TOL:
+            raise ValueError(f"density matrix trace {tr} deviates from 1")
+        return DensityMatrix.certified(0.5 * (m + m.conj().T))
 
     def tensor(self, other: "StateVector") -> "StateVector":
         return StateVector(np.kron(self.amplitudes, other.amplitudes), normalize=False)
@@ -146,7 +151,7 @@ class DensityMatrix:
     Small negative eigenvalues in [-clamp, 0), as produced by integrator
     drift, are clamped to zero and the spectrum is renormalized.  Anything
     more negative raises.  `eigenvalues` keeps the spectrum that check
-    found, after the clamp (None for a pure state built by `_pure`).
+    found, after the clamp (None for a state built by `certified`).
     """
 
     __slots__ = ("matrix", "dim", "eigenvalues")
@@ -179,14 +184,12 @@ class DensityMatrix:
         self.dim = m.shape[0]
 
     @classmethod
-    def _pure(cls, a: np.ndarray) -> "DensityMatrix":
-        """|a><a|: positive by construction, so only the trace is checked."""
-        m = np.outer(a, a.conj())
-        tr = np.trace(m)
-        if not abs(tr - 1.0) <= DEFAULT_TOL:
-            raise ValueError(f"density matrix trace {tr} deviates from 1")
+    def certified(cls, m: np.ndarray) -> "DensityMatrix":
+        """m, a complex matrix its maker vouches is a state, held as given:
+        not copied, symmetrised or decomposed, only made read-only."""
+        m.setflags(write=False)
         rho = object.__new__(cls)
-        rho.matrix, rho.dim, rho.eigenvalues = _freeze(0.5 * (m + m.conj().T)), m.shape[0], None
+        rho.matrix, rho.dim, rho.eigenvalues = m, m.shape[0], None
         return rho
 
     @classmethod

@@ -148,15 +148,11 @@ class LindbladGenerator:
         self.bare_kernel = kernel is not None
         one = np.ones(self.dim)
         pieces = []  # (c, A, B) of each c A rho B
-        #: measurement action L rho + rho L^dag per Lindblad operator, in
-        #: order: (kernel d_i + d_j^*, None) for a diagonal d, (None, L) otherwise
-        self.noise_actions = []
         for rate, op in self.lindblad_ops:
             l = _side(op)
             l_dag = l.conj().T  # .T leaves a diagonal as it is
             no_jump = _times(l_dag, l)
             pieces += [(rate, l, l_dag), (-0.5 * rate, no_jump, one), (-0.5 * rate, one, no_jump)]
-            self.noise_actions.append((np.add.outer(l, l_dag), None) if l.ndim == 1 else (None, l))
         modes = -np.arange(self.dim)  # column q of fft2 carries FFT mode -q
         e = hamiltonian.kinetic if isinstance(hamiltonian, GridOperator) else None
         #: -i (E_k - E_{-q}^*) of a GridOperator H, acting on fft2(rho), or None
@@ -440,19 +436,15 @@ class IntegratorConfig:
 
 @dataclass
 class EvolutionResult:
-    """Records of one run; `states` are `validated` as the run went, or on first use."""
+    """Records of one run, each a DensityMatrix validated once as the run went."""
 
     times: np.ndarray
-    matrices: list[np.ndarray]
+    states: list[DensityMatrix]
     evolver: str
-    validated: list[DensityMatrix] | None = None
 
     @property
-    def states(self) -> list[DensityMatrix]:
-        if self.validated is None:
-            self.validated = [_validated(m, t, "check the generator")
-                              for t, m in zip(self.times, self.matrices)]
-        return self.validated
+    def matrices(self) -> list[np.ndarray]:
+        return [s.matrix for s in self.states]
 
     def final(self) -> DensityMatrix:
         return self.states[-1]
@@ -487,15 +479,14 @@ def _positivity_hint(gen: LindbladGenerator, dt: float, evolver: str) -> str:
     return "reduce dt or check the generator" if evolver == "rk4" else "check the generator"
 
 
-def _validated(rho: np.ndarray, t: float, hint: str,
-               certified: bool = False) -> np.ndarray | DensityMatrix:
-    """rho with its trace checked and, unless its step is certified completely
-    positive, as a DensityMatrix: one eigendecomposition for positivity."""
+def _validated(rho: np.ndarray, t: float, hint: str, certified: bool) -> DensityMatrix:
+    """rho as a DensityMatrix with its trace checked and, unless its step is
+    certified completely positive, one eigendecomposition for positivity."""
     tr_err = abs(np.trace(rho) - 1.0)
     if not np.isfinite(tr_err) or tr_err > TRACE_DRIFT_TOL:
         raise PositivityLossError(f"trace drifted by {tr_err:.3e} at t={t:.6g}; {hint}")
     if certified:
-        return rho
+        return DensityMatrix.certified(rho)
     try:
         return DensityMatrix(rho, tol=1e-6, clamp=POSITIVITY_DRIFT_TOL)
     except ValueError as exc:
@@ -511,10 +502,7 @@ def _record(gen: LindbladGenerator, rho0: DensityMatrix, cfg: IntegratorConfig,
     hint = _positivity_hint(gen, cfg.dt, evolver)
     records = [_validated(rho, k * cfg.dt, hint, certified)
                for k, rho in itertools.islice(march, 1, None)]
-    if certified:
-        return EvolutionResult(cfg.record_times(), [rho0.matrix] + records, evolver)
-    states = [rho0] + records
-    return EvolutionResult(cfg.record_times(), [s.matrix for s in states], evolver, states)
+    return EvolutionResult(cfg.record_times(), [rho0] + records, evolver)
 
 
 def evolve(gen: LindbladGenerator, rho0: DensityMatrix,

@@ -26,11 +26,10 @@ def purity(rho: DensityMatrix) -> float:
     return float(np.real(np.trace(rho.matrix @ rho.matrix)))
 
 
-def von_neumann_entropy(rho: DensityMatrix | np.ndarray) -> float:
-    """-sum lambda log2 lambda in bits of a state, from the spectrum its
-    validation kept where it has one, or of a valid state's matrix."""
-    m, w = (rho.matrix, rho.eigenvalues) if isinstance(rho, DensityMatrix) else (rho, None)
-    w = np.linalg.eigvalsh(m) if w is None else w
+def von_neumann_entropy(rho: DensityMatrix) -> float:
+    """-sum lambda log2 lambda in bits, from the spectrum the state's
+    validation kept, or from its matrix for a certified state."""
+    w = np.linalg.eigvalsh(rho.matrix) if rho.eigenvalues is None else rho.eigenvalues
     w = w[w > ENTROPY_EIGENVALUE_FLOOR]
     return float(-np.sum(w * np.log2(w)))
 

@@ -52,10 +52,6 @@ class CollisionalParams:
             raise ValueError("mass must be positive")
 
 
-#: Fewest grid points across a packet width that collisional_generator accepts.
-MIN_POINTS_PER_WIDTH = 8
-
-
 def scattering_kernel(params: CollisionalParams, grid: Grid1D) -> np.ndarray:
     """The elementwise scattering rates K of d rho(x, x')/dt = K * rho."""
     if params.regime == "long_wavelength":
@@ -64,17 +60,8 @@ def scattering_kernel(params: CollisionalParams, grid: Grid1D) -> np.ndarray:
 
 
 def collisional_generator(params: CollisionalParams, grid: Grid1D,
-                          include_free_dynamics: bool = True,
-                          packet_width: float | None = None) -> LindbladGenerator:
-    """Master-equation generator on a position grid.
-
-    If packet_width is given, the grid must resolve it with at least
-    MIN_POINTS_PER_WIDTH points.
-    """
-    if packet_width is not None and packet_width / grid.dx < MIN_POINTS_PER_WIDTH:
-        raise ValueError(
-            f"grid too coarse: {packet_width / grid.dx:.1f} points across the "
-            f"packet width, need >= {MIN_POINTS_PER_WIDTH}")
+                          include_free_dynamics: bool = True) -> LindbladGenerator:
+    """Master-equation generator on a position grid."""
     h = grid.kinetic_hamiltonian(params.mass) if include_free_dynamics else None
     return LindbladGenerator(h, kernel=scattering_kernel(params, grid))
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import measures
-from .core import SIGMA_X, Grid1D, Operator, bloch_state
+from .core import SIGMA_X, DensityMatrix, Grid1D, Operator, bloch_state
 from .core import write_csv as _write_csv
 from .lindblad import (
     IntegratorConfig,
@@ -592,18 +592,13 @@ def _generator(cfg: ScenarioConfig, grid: Grid1D | None) -> LindbladGenerator:
     return caldeira_leggett_generator(qp, grid, include_dissipation=p["dissipation"])
 
 
-def _tabulate(records: list | np.ndarray, quantities) -> dict:
+def _tabulate(records: list[DensityMatrix], quantities) -> dict:
     """The requested columns that every model computes from its records rho(t):
     purity, entropy in bits and, for a qubit in a joint pure state with its
-    bath, I(S:E) = S(rho_S) + S(rho_E) - S(rho_SE) = 2 S(rho_S).
-
-    Records are validated states or matrices; entropy takes the spectrum a
-    validated state kept.
-    """
+    bath, I(S:E) = S(rho_S) + S(rho_E) - S(rho_SE) = 2 S(rho_S)."""
     series = {}
     if "purity" in quantities:
-        mats = (getattr(r, "matrix", r) for r in records)
-        series["purity"] = np.array([np.real(np.trace(m @ m)) for m in mats])
+        series["purity"] = np.array([measures.purity(r) for r in records])
     if "entropy" in quantities or "mutual_information" in quantities:
         entropy = np.array([measures.von_neumann_entropy(r) for r in records])
         if "entropy" in quantities:
@@ -613,13 +608,14 @@ def _tabulate(records: list | np.ndarray, quantities) -> dict:
     return series
 
 
-def _qubit_records(p0: float, p1: float, rho01: np.ndarray) -> np.ndarray:
+def _qubit_records(p0: float, p1: float, rho01: np.ndarray) -> list[DensityMatrix]:
     """Records [[p0, rho01], [rho01*, p1]] of a qubit whose populations stay
-    fixed while its coherence rho01(t) changes."""
+    fixed while its coherence rho01(t) changes.  Certified: the callers'
+    p0 + p1 = 1 and |rho01| <= sqrt(p0 p1) make each one a state."""
     records = np.empty((len(rho01), 2, 2), dtype=complex)
     records[:, 0, 0], records[:, 1, 1] = p0, p1
     records[:, 0, 1], records[:, 1, 0] = rho01, np.conj(rho01)
-    return records
+    return [DensityMatrix.certified(m) for m in records]
 
 
 def _run_master_equation(cfg: ScenarioConfig, summary: dict, out_dir: Path) -> tuple:
@@ -694,7 +690,7 @@ def _run_master_equation(cfg: ScenarioConfig, summary: dict, out_dir: Path) -> t
         _write_csv(path, ["t", "mean_sx", "stderr_sx"],
                    [stats["times"], stats["mean"], stats["stderr"]])
         summary["files"]["trajectories"] = path.name
-    return times, res.validated or mats, series
+    return times, res.states, series
 
 
 def _run_spin_spin(cfg: ScenarioConfig, summary: dict) -> tuple:

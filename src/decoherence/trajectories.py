@@ -12,9 +12,10 @@ pure states stay (numerically almost) pure along each trajectory, while
 the trajectory average converges to the deterministic master-equation
 solution at the usual 1/sqrt(N) Monte Carlo rate.
 
-The measurement term follows the generator's rule for diagonal structure:
-a diagonal L with diagonal d gives W[L] rho from the elementwise kernel
-(d_i + d_j^*) rho, and any other L keeps its matmuls L rho + rho L^dag.
+The measurement term L rho + rho L^dag of each L is the generator of the
+two sandwich terms L rho 1 and 1 rho L^dag, placed by the generator's own
+rule: the elementwise kernel d_i + d_j^* for a diagonal L, G rho + rho G'
+otherwise.
 
 Reproducibility: trajectory j draws its increments from an independent
 counter-based stream (Philox keyed by the ensemble seed, jumped j times),
@@ -33,7 +34,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .core import DensityMatrix, Operator, write_csv
-from .lindblad import LindbladGenerator, PositivityLossError, _march, record_steps
+from .lindblad import ExtraTerm, LindbladGenerator, PositivityLossError, _march, record_steps
 
 TRACE_DRIFT_LIMIT = 1e-4
 #: Hermiticity tolerance for the Hamiltonian and the Lindblad operators.
@@ -92,6 +93,13 @@ def _gaussian_increments(seed: int, n_trajectories: int, n_steps: int,
     return ndtri(u) * math.sqrt(dt)
 
 
+def _measurement(op: Operator) -> LindbladGenerator:
+    """L rho + rho L^dag as the generator of the sandwich terms L rho 1 and 1 rho L^dag."""
+    eye = Operator.identity(op.dim)
+    return LindbladGenerator(None, extra_terms=[ExtraTerm("sandwich", op, eye, 1.0),
+                                                ExtraTerm("sandwich", eye, op.dag(), 1.0)])
+
+
 def unravel(gen: LindbladGenerator, rho0: DensityMatrix,
             cfg: TrajectoryConfig) -> TrajectoryEnsemble:
     """Integrate an ensemble of diffusive trajectories.
@@ -114,8 +122,7 @@ def unravel(gen: LindbladGenerator, rho0: DensityMatrix,
 
     n_steps = cfg.n_steps
     steps = record_steps(n_steps, cfg.record_stride)
-    noise_ops = [(math.sqrt(rate), kernel, l)
-                 for (rate, _), (kernel, l) in zip(gen.lindblad_ops, gen.noise_actions)]
+    noise_ops = [(math.sqrt(rate), _measurement(op)) for rate, op in gen.lindblad_ops]
     n, dim = cfg.n_trajectories, gen.dim
     batch0 = np.broadcast_to(rho0.matrix, (n, dim, dim)).copy()
     states = np.empty((n, len(steps), dim, dim), dtype=complex)
@@ -123,8 +130,8 @@ def unravel(gen: LindbladGenerator, rho0: DensityMatrix,
 
     def euler_maruyama(k: int, rho: np.ndarray) -> np.ndarray:
         new = rho + cfg.dt * gen.apply(rho)
-        for mu, (sr, kernel, l) in enumerate(noise_ops):
-            w = kernel * rho if l is None else l @ rho + rho @ l.conj().T
+        for mu, (sr, measurement) in enumerate(noise_ops):
+            w = measurement.apply(rho)
             w -= np.einsum("nii->n", w)[:, None, None] * rho
             new += sr * dw[k, mu][:, None, None] * w
         return new

@@ -182,6 +182,12 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             StateVector(np.array([np.nan, 1.0])).density()
 
+    def test_certified_state_holds_its_matrix_as_given(self):
+        m = np.array([[0.75, 0.25 + 0.1j], [0.25 - 0.1j, 0.25]])
+        rho = DensityMatrix.certified(m)
+        assert rho.matrix is m and not m.flags.writeable
+        assert rho.dim == 2 and rho.eigenvalues is None
+
 
 class TestCoherentStates:
     def test_vacuum(self):

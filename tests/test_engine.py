@@ -354,20 +354,22 @@ quantities = coherence_magnitude{", mutual_information" if model == "spin_spin" 
             assert all(float(row["mutual_information"]) >= 0.0 for row in rows)
 
 
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """The names of the numpy.linalg eigensolvers called, in order."""
+    calls = []
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
 class TestSingleValidationPass:
-    @pytest.fixture
-    def eig_calls(self, monkeypatch):
-        calls = []
-        for name in ("eig", "eigh", "eigvals", "eigvalsh"):
-            original = getattr(np.linalg, name)
-
-            def counted(*args, _original=original, _name=name, **kwargs):
-                calls.append(_name)
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counted)
-        return calls
-
     def test_one_eigendecomposition_per_recorded_state(self, rng, eig_calls):
         # a mixed qubit state and a pure grid state, whose round-off
         # negative eigenvalues take the clamp path
@@ -423,6 +425,90 @@ class TestSingleValidationPass:
         rho = DensityMatrix(np.diag([1.0 + 5e-10, -5e-10]))
         assert np.array_equal(rho.eigenvalues, [0.0, 1.0])
         assert von_neumann_entropy(rho) == 0.0
+
+
+class TestRecordContract:
+    """Every evolver and runner hands its records over as DensityMatrix: an
+    uncertified record is validated by one eigh, a certified one by none."""
+
+    @staticmethod
+    def routes(rng):
+        """(generator, rho0, config) of each route propagate can take."""
+        small, wide = Grid1D(16, -2.0, 2.0), Grid1D(48, -6.0, 6.0)
+        scattering = CollisionalParams(Lambda=0.5)
+        return {
+            "characteristic": (collisional_generator(scattering, wide),
+                               wide.two_packet_cat(1.5, 0.5).density(),
+                               IntegratorConfig(0.05, 1.0, 4)),
+            "split_step": (collisional_generator(scattering, small),
+                           small.gaussian_packet(0.0, 0.6).density(),
+                           IntegratorConfig(1e-3, 0.02, 4)),
+            "exact": (LindbladGenerator(random_hermitian(rng, 2), [(0.3, SIGMA_Z)]),
+                      random_density(rng, 2), IntegratorConfig(1e-3, 0.02, 4)),
+            "rk4": (LindbladGenerator(random_hermitian(rng, 17),
+                                      [(0.3, Operator(np.diag(np.ones(16), k=1)))]),
+                    random_density(rng, 17), IntegratorConfig(1e-3, 0.02, 5)),
+        }
+
+    @pytest.mark.parametrize("evolver", ["characteristic", "split_step", "exact", "rk4"])
+    def test_every_route_records_density_matrices(self, rng, eig_calls, evolver):
+        gen, rho0, cfg = self.routes(rng)[evolver]
+        eig_calls.clear()
+        res = propagate(gen, rho0, cfg)
+        states = res.states  # read before counting: nothing is validated late
+        assert res.evolver == evolver and len(states) == len(res.times)
+        assert states[0] is rho0
+        for i, state in enumerate(states):
+            assert isinstance(state, DensityMatrix)
+            assert res.matrices[i] is state.matrix
+            assert not state.matrix.flags.writeable
+        certified = evolver != "rk4"
+        assert eig_calls.count("eigh") == (0 if certified else len(states) - 1)
+        for state in states[1:]:
+            assert (state.eigenvalues is None) == certified
+
+    @pytest.mark.parametrize("model, params, state", [
+        ("spin_spin", "n_spins = 4\ncoupling_scale = 1.0",
+         "kind = qubit_bloch\ntheta = 1.2\nphi = 0.3"),
+        ("cavity_cat", "damping_time = 0.13", "kind = cat\nalpha = 2.0\nchi = 1.0"),
+    ])
+    def test_qubit_runners_record_certified_states(self, tmp_path, monkeypatch, eig_calls,
+                                                  model, params, state):
+        from decoherence import scenario
+        seen = []
+
+        def tabulate(records, quantities):
+            seen.append(records)
+            return tabulated(records, quantities)
+
+        tabulated = scenario._tabulate
+        monkeypatch.setattr(scenario, "_tabulate", tabulate)
+        cfg = parse_config(f"""
+[scenario]
+name = records
+model = {model}
+
+[params]
+{params}
+
+[initial_state]
+{state}
+
+[integrator]
+dt = 0.01
+t_final = 0.2
+
+[outputs]
+quantities = coherence_magnitude, purity, entropy
+""")
+        run_scenario(cfg, out_dir=tmp_path)
+        (records,) = seen
+        assert len(records) == 21 and "eigh" not in eig_calls
+        for r in records:
+            assert isinstance(r, DensityMatrix) and r.eigenvalues is None
+            assert np.array_equal(r.matrix, r.matrix.conj().T)
+            assert np.trace(r.matrix) == pytest.approx(1.0, abs=1e-15)
+            assert abs(r.matrix[0, 1]) <= np.sqrt(np.prod(np.diag(r.matrix).real))
 
 
 class TestCharacteristic:

@@ -57,20 +57,6 @@ class TestLongWavelength:
                         atol=1e-10)
 
 
-class TestGridResolutionGuard:
-    def test_coarse_grid_rejected_when_packet_width_given(self):
-        grid = Grid1D(16, -8.0, 8.0)  # dx ~ 1.07
-        with pytest.raises(ValueError, match="coarse"):
-            collisional_generator(CollisionalParams(Lambda=1.0), grid,
-                                  packet_width=0.5)
-
-    def test_resolved_packet_accepted(self):
-        grid = Grid1D(256, -8.0, 8.0)  # dx ~ 0.063: 9.6 points across 0.6
-        gen = collisional_generator(CollisionalParams(Lambda=1.0), grid,
-                                    packet_width=0.6)
-        assert gen.dim == 256
-
-
 def _array_bytes(obj, seen) -> int:
     """Bytes of the distinct numpy arrays reachable from obj."""
     if isinstance(obj, np.ndarray):

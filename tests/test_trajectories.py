@@ -19,6 +19,7 @@ from decoherence.lindblad import (
 from decoherence.trajectories import (
     TrajectoryConfig,
     _gaussian_increments,
+    _measurement,
     ensemble_statistics,
     export_ensemble_csv,
     export_ensemble_summary_json,
@@ -176,7 +177,8 @@ def matmul_unravel(gen, rho0, cfg):
 
 
 class TestMeasurementKernel:
-    """A diagonal L's measurement term is the kernel d_i + d_j^* times rho."""
+    """L rho + rho L^dag is placed by the generator's rule: a diagonal L's is
+    the kernel d_i + d_j^* times rho, any other L's is G rho + rho G'."""
 
     CFG = TrajectoryConfig(6, dt=1e-3, t_final=0.2, seed=77, record_stride=40)
 
@@ -186,8 +188,12 @@ class TestMeasurementKernel:
                               matmul_unravel(DEPHASING, KET_PLUS.density(), self.CFG))
 
     def test_real_diagonal_operator_in_three_dimensions(self, rng):
-        gen = LindbladGenerator(None, [(0.5, Operator(np.diag([0.3, -1.1, 0.7])))])
-        assert gen.noise_actions[0][1] is None
+        d = np.array([0.3, -1.1, 0.7])
+        gen = LindbladGenerator(None, [(0.5, Operator(np.diag(d)))])
+        measurement = _measurement(gen.lindblad_ops[0][1])
+        assert np.array_equal(measurement.kernel, np.add.outer(d, d))
+        assert measurement._g is None and measurement._g_prime is None
+        assert not measurement._products
         rho0 = random_density(rng, 3)
         ens = unravel(gen, rho0, self.CFG)
         assert_allclose(ens.conditioned_states, matmul_unravel(gen, rho0, self.CFG),
@@ -195,9 +201,11 @@ class TestMeasurementKernel:
 
     def test_diagonal_and_non_diagonal_operators_together(self, rng):
         gen = LindbladGenerator(None, [(0.4, SIGMA_Z), (0.3, SIGMA_X)])
-        (_, l_z), (kernel_x, l_x) = gen.noise_actions
-        assert l_z is None and kernel_x is None
-        assert np.array_equal(l_x, SIGMA_X.matrix)  # sigma_x keeps its matmuls
+        z, x = (_measurement(op) for _, op in gen.lindblad_ops)
+        assert z.kernel is not None and z._g is None and z._g_prime is None
+        assert x.kernel is None and not x._products  # sigma_x keeps its matmuls
+        assert np.array_equal(x._g, SIGMA_X.matrix)
+        assert np.array_equal(x._g_prime, SIGMA_X.matrix)
         rho0 = random_density(rng, 2)
         ens = unravel(gen, rho0, self.CFG)
         assert_allclose(ens.conditioned_states, matmul_unravel(gen, rho0, self.CFG),
