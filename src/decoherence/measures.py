@@ -22,8 +22,9 @@ ENTROPY_EIGENVALUE_FLOOR = 1e-12
 
 
 def purity(rho: DensityMatrix) -> float:
-    """Tr rho^2: 1 for pure states, 1/dim for the maximally mixed state."""
-    return float(np.real(np.trace(rho.matrix @ rho.matrix)))
+    """Tr rho^2 = sum |rho_ij|^2 of a Hermitian rho: 1 for pure states, 1/dim
+    for the maximally mixed state."""
+    return float(np.vdot(rho.matrix, rho.matrix).real)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
