@@ -302,13 +302,10 @@ def split_march(gen: LindbladGenerator, rho0: np.ndarray, dt: float, n_steps: in
     """Strang-split stepping of H = E(k) + V(x) plus a Hermitian elementwise kernel K.
 
     The generator folds the potential into its kernel as -i(V_i - V_j^*).  A
-    step is the exact factor F = exp(K dt) in position and the exact phase
-    Phi = exp(M dt) of the generator's momentum kernel M.  Both keep rho
-    Hermitian, so the step carries the real R = Re rho + Im rho (rho = sym R
-    + i antisym R): F o rho becomes F_r o R + F_i o R^T, and Phi o rho on S =
-    rfft2(R) becomes P o S + Q o S^T, P = (Phi + Phi^T)/2, Q = i(Phi^T -
-    Phi)/2.  S keeps half a phase pending, so half steps fuse: a step is
-    irfft2, F, rfft2 and Phi.
+    step is the exact factor exp(K dt) on rho and the exact phase exp(M dt)
+    of the generator's momentum kernel M on fft2(rho).  The state stays in
+    momentum with half a phase pending, so half steps fuse: a step is one
+    ifft2, the factor, one fft2 and the phase.
     Yields (k, state) at every recorded step, as _march does: rho0, then
     exactly Hermitian matrices.  A generator that does not split
     (`LindbladGenerator.splits`) or a non-Hermitian rho0 raises ValueError.
@@ -323,47 +320,20 @@ def split_march(gen: LindbladGenerator, rho0: np.ndarray, dt: float, n_steps: in
         yield from _march(rho0, lambda _, r: r * decay, n_steps, record_stride)
         return
 
-    # the phase of the generator's momentum kernel, which acts on fft2(rho)
-    n, m = gen.dim, gen.dim // 2 + 1
     phase, half = np.exp(dt * gen.kinetic_kernel), np.exp(0.5 * dt * gen.kinetic_kernel)
-    # S^T[i, j] = S[j, i], or conj S[-j, -i] where column i of fft2 is dropped
-    row, col = np.indices((n, m))
-    mirrored = row >= m
-    gather = np.where(mirrored, (-col % n) * m + n - row, col * m + row)
-    f_r, f_i = decay.real, decay.imag if decay.imag.any() else None
-
-    def kinetic(phi: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        p, q = 0.5 * (phi + phi.T)[:, :m], 0.5j * (phi.T - phi)[:, :m]
-
-        def act(s: np.ndarray) -> np.ndarray:  # in place
-            st = s.take(gather)
-            np.conjugate(st, out=st, where=mirrored)
-            st *= q
-            s *= p
-            s += st
-            return s
-        return act
-
-    full, unhalf = kinetic(phase), kinetic(0.5 / half)  # records take R / 2
 
     def step(_, s: np.ndarray) -> np.ndarray:
-        r = scipy.fft.irfft2(s, s=(n, n))
-        r_t = None if f_i is None else f_i * r.T
-        r *= f_r
-        if r_t is not None:
-            r += r_t
-        return full(scipy.fft.rfft2(r))
+        r = scipy.fft.ifft2(s)
+        r *= decay
+        s = scipy.fft.fft2(r, overwrite_x=True)
+        s *= phase
+        return s
 
     def record(s: np.ndarray) -> np.ndarray:
-        r = scipy.fft.irfft2(unhalf(s.copy()), s=(n, n))
-        # after the temporaries: else 35 MiB of freed records stayed resident (n = 256)
-        rho = np.empty((n, n), dtype=complex)
-        np.add(r, r.T, out=rho.real)
-        np.subtract(r, r.T, out=rho.imag)
-        return rho
+        r = scipy.fft.ifft2(s / half)
+        return 0.5 * (r + r.conj().T)
 
-    start = kinetic(half)(scipy.fft.rfft2(rho0.real + rho0.imag))
-    for k, s in _march(start, step, n_steps, record_stride):
+    for k, s in _march(scipy.fft.fft2(rho0) * half, step, n_steps, record_stride):
         # periodic boundaries: packets must stay clear of the grid edges
         yield k, rho0 if k == 0 else record(s)
 

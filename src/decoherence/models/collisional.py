@@ -18,7 +18,8 @@ that is diagonal in momentum.  In the long-wavelength regime, for a state
 clear of the grid edges, `lindblad.propagate` takes each record straight
 from rho0 by the characteristic-function solution (Unruh & Zurek, PRD 40,
 1071, 1989).  Otherwise, and in `collisional_evolve_split_step`, it steps
-`lindblad.split_march`: exact kinetic phases in momentum, exp(K dt) in position.
+`lindblad.split_march` on the complex rho: per step one ifft2 to position,
+the exact factor exp(K dt), one fft2 back and the exact kinetic phase.
 """
 
 from __future__ import annotations

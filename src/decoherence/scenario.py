@@ -344,8 +344,7 @@ def parse_config(text: str) -> ScenarioConfig:
                           "components coincide and no decoherence time is defined")
 
     integ = _validate_section("integrator", dict(cp["integrator"]), INTEGRATOR_SCHEMA)
-    if integ["t_final"] < integ["dt"]:
-        raise ConfigError("t_final must be at least one step dt")
+    _whole_steps(integ["t_final"], integ["dt"], "")
     outputs = _validate_section("outputs", dict(cp["outputs"]), OUTPUTS_SCHEMA)
     for q in outputs["quantities"]:
         if q not in OUTPUT_QUANTITIES:
@@ -368,6 +367,7 @@ def parse_config(text: str) -> ScenarioConfig:
         grid = _validate_section("grid", dict(cp["grid"]), GRID_SCHEMA)
         if not grid["x_max"] > grid["x_min"]:
             raise ConfigError("grid needs x_max > x_min")
+        _packet_on_grid(state, grid)
     elif "grid" in cp:
         raise ConfigError(f"model '{model}' takes no [grid] section")
 
@@ -380,8 +380,8 @@ def parse_config(text: str) -> ScenarioConfig:
                               "custom_lindblad model only")
         traj = _validate_section("trajectories", dict(cp["trajectories"]),
                                  TRAJECTORIES_SCHEMA)
-        if traj.get("dt") is not None and integ["t_final"] < traj["dt"]:
-            raise ConfigError("t_final must be at least one trajectory step dt")
+        if traj.get("dt") is not None:
+            _whole_steps(integ["t_final"], traj["dt"], "trajectory ")
         _trajectory_stride(integ, traj)
 
     if model == "custom_lindblad":
@@ -408,6 +408,29 @@ def parse_config(text: str) -> ScenarioConfig:
         initial_state=state, integrator=integ, outputs=outputs,
         grid=grid, trajectories=traj,
     )
+
+
+def _whole_steps(t_final: float, dt: float, what: str) -> None:
+    """Reject a t_final that is not a whole number of steps dt, at least one."""
+    ratio = t_final / dt
+    if t_final < dt or abs(ratio - round(ratio)) > 1e-9 * ratio:
+        raise ConfigError(f"t_final = {t_final!r} must be a whole number, at least 1, "
+                          f"of {what}steps dt = {dt!r}: t_final / dt = {ratio:.12g}")
+
+
+def _packet_on_grid(state: dict, grid: dict) -> None:
+    """Reject a packet that reaches the edges of the periodic grid, in
+    position (x0 +- 6 sigma) or in momentum (|k0| + 3 / sigma against pi / dx)."""
+    x0, sigma, k0 = state["x0"], state["sigma"], state.get("k0", 0.0)
+    lo = (-x0 if state["kind"] == "two_packet_cat" else x0) - 6.0 * sigma
+    if lo < grid["x_min"] or x0 + 6.0 * sigma > grid["x_max"]:
+        raise ConfigError(f"packet x0 = {x0!r}, sigma = {sigma!r} reaches "
+                          f"[{lo:.6g}, {x0 + 6.0 * sigma:.6g}] at 6 sigma, outside the "
+                          f"grid [{grid['x_min']!r}, {grid['x_max']!r}]")
+    k_max = math.pi / Grid1D(grid["n_points"], grid["x_min"], grid["x_max"]).dx
+    if abs(k0) + 3.0 / sigma > k_max:
+        raise ConfigError(f"packet k0 = {k0!r}, sigma = {sigma!r} reaches |k0| + 3 / sigma "
+                          f"= {abs(k0) + 3.0 / sigma:.6g}, past the grid's pi / dx = {k_max:.6g}")
 
 
 def _trajectory_stride(integ: dict, traj: dict) -> int:
@@ -672,7 +695,10 @@ def _run_master_equation(cfg: ScenarioConfig, summary: dict, out_dir: Path) -> t
         files = []
         for k, target in enumerate(snap_times):
             idx = int(np.argmin(np.abs(times - target)))
-            field = measures.wigner(mats[idx], grid)
+            try:
+                field = measures.wigner(mats[idx], grid)
+            except ValueError as exc:
+                raise ValueError(f"{exc} at t={times[idx]:.6g}") from exc
             path = out_dir / f"{cfg.name}_wigner_t{k}.csv"
             field.to_csv(path)
             files.append({"file": path.name, "time": float(times[idx])})

@@ -144,7 +144,7 @@ def unravel(gen: LindbladGenerator, rho0: DensityMatrix,
         if not np.isfinite(tr_err) or tr_err > TRACE_DRIFT_LIMIT \
                 or not np.all(np.isfinite(rho)):
             raise StepInstabilityError(
-                f"trace drifted by {tr_err:.2e} at step {k}; reduce dt")
+                f"trace drifted by {tr_err:.2e} at t={k * cfg.dt:.6g}; reduce dt")
         states[:, pos] = rho
 
     # fixed reduction order: ascending trajectory index.  Euler-Maruyama

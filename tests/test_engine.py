@@ -238,7 +238,7 @@ class TestSplitMarch:
             assert_allclose(r, w, rtol=0, atol=1e-13)
             assert np.array_equal(r, r.conj().T)
 
-    def test_one_real_transform_each_way_per_step(self, monkeypatch):
+    def test_one_complex_transform_each_way_per_step(self, monkeypatch):
         calls = []
 
         def counted(name):
@@ -254,7 +254,7 @@ class TestSplitMarch:
         gen = collisional_generator(CollisionalParams(Lambda=0.5), self.GRID)
         # the start and the one record add one transform each way
         list(split_march(gen, self.rho0(), 0.01, 10, 10))
-        assert sorted(calls) == ["irfft2"] * 11 + ["rfft2"] * 11
+        assert sorted(calls) == ["fft2"] * 11 + ["ifft2"] * 11
 
     def test_dense_diagonal_hamiltonian_is_split_exactly(self, rng):
         # a dense diagonal H folds into the kernel, so the step is exp(K dt)

@@ -699,32 +699,64 @@ x_max = 8.0
         assert rc == 2
         assert "error: cannot write outputs:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", [
+    @pytest.mark.parametrize("text, message", [
         # a non-Hermitian Hamiltonian
-        CUSTOM_TRAJECTORIES.replace("hamiltonian = 0, 0, 0, 0",
-                                    "hamiltonian = 0, 0.05, 0, 0")
-        .split("[trajectories]")[0],
+        (CUSTOM_TRAJECTORIES.replace("hamiltonian = 0, 0, 0, 0",
+                                     "hamiltonian = 0, 0.05, 0, 0")
+         .split("[trajectories]")[0], "hamiltonian must be Hermitian"),
         # spin_boson's generator always carries non-Lindblad terms
-        MINIMAL_QUBIT + "\n[trajectories]\nn_trajectories = 10\n",
+        (MINIMAL_QUBIT + "\n[trajectories]\nn_trajectories = 10\n", "custom_lindblad model only"),
         # a non-Hermitian Lindblad operator cannot be unraveled
-        CUSTOM_TRAJECTORIES.replace("lindblad_1 = 1, 0, 0, -1", "lindblad_1 = 0, 1, 0, 0"),
+        (CUSTOM_TRAJECTORIES.replace("lindblad_1 = 1, 0, 0, -1", "lindblad_1 = 0, 1, 0, 0"),
+         "Hermitian lindblad_i"),
         # fewer than one step
-        MINIMAL_QUBIT.replace("t_final = 2.0", "t_final = 0.001"),
+        (MINIMAL_QUBIT.replace("t_final = 2.0", "t_final = 0.001"),
+         "t_final = 0.001 must be a whole number, at least 1, of steps dt = 0.002"),
         # fewer than one trajectory step
-        CUSTOM_TRAJECTORIES + "dt = 1.0\n",
-        # a record interval of 10 * 0.01 is not a whole number of 0.03 steps
-        CUSTOM_TRAJECTORIES + "dt = 0.03\n",
+        (CUSTOM_TRAJECTORIES + "dt = 1.0\n", "of trajectory steps dt = 1.0"),
+        # a record interval of 10 * 0.01 is not a whole number of 0.125 steps
+        (CUSTOM_TRAJECTORIES + "dt = 0.125\n", "the trajectory dt must divide"),
         # a Wigner snapshot after the last record
-        GRID_SNAPSHOTS.replace("wigner_times = 0.0, 0.1", "wigner_times = 0.0, 0.2"),
+        (GRID_SNAPSHOTS.replace("wigner_times = 0.0, 0.1", "wigner_times = 0.0, 0.2"),
+         "wigner_times: 0.2 lies outside"),
+        # 1.0 is not a whole number of 0.3 steps: the last record would be t = 0.9
+        ((SCENARIO_DIR / "dephasing_qubit.cfg").read_text()
+         .replace("dt = 0.002", "dt = 0.3").replace("t_final = 6.0", "t_final = 1.0"),
+         "t_final = 1.0 must be a whole number, at least 1, of steps dt = 0.3"),
+        # trajectories of 0.2 steps would stop at t = 0.2, the timeseries at 0.3
+        (CUSTOM_TRAJECTORIES.replace("dt = 0.01\nt_final = 0.5\nrecord_stride = 10",
+                                     "dt = 0.1\nt_final = 0.3\nrecord_stride = 2")
+         + "dt = 0.2\n", "t_final = 0.3 must be a whole number, at least 1, of trajectory "
+                         "steps dt = 0.2"),
+        # the packet at 7.5 + 6 * 0.5 wraps round the periodic grid edge at 8
+        ((SCENARIO_DIR / "two_packet_collisional.cfg").read_text()
+         .replace("x0 = 2.0", "x0 = 7.5"),
+         "x0 = 7.5, sigma = 0.5 reaches [-10.5, 10.5] at 6 sigma, outside the grid [-8.0, 8.0]"),
+        # 12 + 3 / 0.5 past the 64-point grid's pi / dx = 16.49
+        (GRID_SNAPSHOTS.replace("sigma = 0.5", "sigma = 0.5\nk0 = 12.0"),
+         "|k0| + 3 / sigma = 18, past the grid's pi / dx = 16.4934"),
     ], ids=["non_hermitian_h", "spin_boson_trajectories",
             "non_hermitian_l_trajectories", "t_final_below_dt",
             "t_final_below_trajectory_dt", "trajectory_dt_not_dividing_record_interval",
-            "wigner_time_past_t_final"])
-    def test_input_errors_exit_2(self, tmp_path, text):
+            "wigner_time_past_t_final", "t_final_not_whole_steps",
+            "t_final_not_whole_trajectory_steps", "packet_past_grid_edge",
+            "packet_past_grid_momentum"])
+    def test_input_errors_exit_2(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.cfg"
         path.write_text(text)
         assert cli_main(["run", str(path), "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_aliased_wigner_snapshot_names_its_time(self, tmp_path, capsys):
+        # k0 + 3 / sigma = 16 fits the grid's pi / dx = 16.49 but not the
+        # Wigner transform's momentum range pi / (2 dx)
+        path = tmp_path / "aliased.cfg"
+        path.write_text(GRID_SNAPSHOTS.replace("sigma = 0.5", "sigma = 0.5\nk0 = 10.0")
+                        .replace("wigner_times = 0.0, 0.1", "wigner_times = 0.1"))
+        assert cli_main(["run", str(path), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "Wigner marginals off" in err and err.rstrip().endswith("at t=0.1")
 
     def test_non_hermitian_lindblad_operator_runs_without_trajectories(self, tmp_path):
         # amplitude damping is a valid master equation; only its diffusive

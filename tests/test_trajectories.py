@@ -89,7 +89,8 @@ class TestUnravelBasics:
     def test_oversized_step_raises_instability(self):
         from decoherence.trajectories import StepInstabilityError
         stiff = LindbladGenerator(None, [(50.0, SIGMA_X)])
-        with pytest.raises(StepInstabilityError):
+        # the message names the record time k * dt, not the step index k
+        with pytest.raises(StepInstabilityError, match=r"at t=8; reduce dt"):
             unravel(stiff, KET_0.density(),
                     TrajectoryConfig(4, dt=2.0, t_final=40.0, seed=1,
                                      record_stride=1))
