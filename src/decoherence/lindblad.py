@@ -388,15 +388,20 @@ class IntegratorConfig:
     record_stride: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValueError("dt must be positive")
-        if self.t_final < self.dt:
-            raise ValueError("t_final must be at least one step")
+        ratio = self.t_final / self.dt
+        whole = round(ratio) if math.isfinite(ratio) else 0
+        if whole < 1 or abs(ratio - whole) > 1e-9 * ratio:
+            raise ValueError(f"t_final = {float(self.t_final)!r} must be a whole number, "
+                             f"at least 1, of steps dt = {float(self.dt)!r}: "
+                             f"t_final / dt = {ratio:.12g}")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
 
     @property
     def n_steps(self) -> int:
+        # the whole-step rule leaves round() only round-off to absorb
         return int(round(self.t_final / self.dt))
 
     def record_times(self) -> np.ndarray:
@@ -687,6 +692,10 @@ class CorrelationKernelSpec:
             val, err = quad(lambda w: amp(w) * _lag_kernel(kind, w, omega, tc),
                             0.0, w0, points=[omega] if omega > 0 else None,
                             epsabs=0.0, epsrel=rtol, limit=1000)
+        # the tail's tolerance comes from val, and a nan one crashes QUADPACK's QAWF
+        if not np.isfinite(val):
+            raise QuadratureError(f"{kernel} {trig} integral over [0, {w0:.6g}] is not "
+                                  f"finite ({val}); the bath parameters overflow")
         diverged = False
         for weight, p, q in _lag_kernel_tail(kind, omega, tc):
             if p == 0.0 and q == 0.0:

@@ -223,7 +223,6 @@ GRID_SCHEMA = {
 
 TRAJECTORIES_SCHEMA = {
     "n_trajectories": ParamSpec("int", required=True, minimum=1),
-    "dt": ParamSpec("float", required=False, minimum=0.0, exclusive_min=True),
     "seed": ParamSpec("int", required=False, minimum=0),
 }
 
@@ -279,6 +278,9 @@ def _coerce(key: str, raw: str, spec: ParamSpec):
             raise AssertionError(f"unknown spec type {spec.type}")
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"key '{key}': cannot parse {raw!r} as {spec.type}") from exc
+    if spec.type in ("float", "complex", "floatlist", "complexlist") \
+            and not np.all(np.isfinite(val)):
+        raise ConfigError(f"key '{key}': {raw!r} is not finite")
     if spec.choices is not None and val not in spec.choices:
         raise ConfigError(f"key '{key}': {val!r} not one of {spec.choices}")
     if spec.minimum is not None and isinstance(val, (int, float)):
@@ -339,12 +341,21 @@ def parse_config(text: str) -> ScenarioConfig:
             f"(use one of {mschema['states']})")
     state = {"kind": kind,
              **_validate_section("initial_state", state_raw, STATE_SCHEMAS[kind])}
-    if kind == "cat" and abs(state["alpha"]) ** 2 * math.sin(state["chi"]) ** 2 == 0.0:
-        raise ConfigError("cat state has zero catness (alpha = 0 or sin chi = 0): its "
-                          "components coincide and no decoherence time is defined")
+    if kind == "cat":
+        # catness D^2 for D = 2 |alpha| sin chi; float products overflow to inf
+        # where abs() and ** raise
+        d = 2.0 * math.hypot(state["alpha"].real, state["alpha"].imag) * math.sin(state["chi"])
+        if d * d == 0.0:
+            raise ConfigError("cat state has zero catness (alpha = 0 or sin chi = 0): its "
+                              "components coincide and no decoherence time is defined")
+        if d * d == math.inf:
+            raise ConfigError("cat state catness 4 |alpha|^2 sin^2 chi is not finite")
 
     integ = _validate_section("integrator", dict(cp["integrator"]), INTEGRATOR_SCHEMA)
-    _whole_steps(integ["t_final"], integ["dt"], "")
+    try:
+        IntegratorConfig(**integ)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     outputs = _validate_section("outputs", dict(cp["outputs"]), OUTPUTS_SCHEMA)
     for q in outputs["quantities"]:
         if q not in OUTPUT_QUANTITIES:
@@ -367,7 +378,7 @@ def parse_config(text: str) -> ScenarioConfig:
         grid = _validate_section("grid", dict(cp["grid"]), GRID_SCHEMA)
         if not grid["x_max"] > grid["x_min"]:
             raise ConfigError("grid needs x_max > x_min")
-        _packet_on_grid(state, grid)
+        _packet_on_grid(state, grid, "wigner_snapshots" in outputs["quantities"])
     elif "grid" in cp:
         raise ConfigError(f"model '{model}' takes no [grid] section")
 
@@ -380,9 +391,6 @@ def parse_config(text: str) -> ScenarioConfig:
                               "custom_lindblad model only")
         traj = _validate_section("trajectories", dict(cp["trajectories"]),
                                  TRAJECTORIES_SCHEMA)
-        if traj.get("dt") is not None:
-            _whole_steps(integ["t_final"], traj["dt"], "trajectory ")
-        _trajectory_stride(integ, traj)
 
     if model == "custom_lindblad":
         dim = params["dim"]
@@ -410,38 +418,22 @@ def parse_config(text: str) -> ScenarioConfig:
     )
 
 
-def _whole_steps(t_final: float, dt: float, what: str) -> None:
-    """Reject a t_final that is not a whole number of steps dt, at least one."""
-    ratio = t_final / dt
-    if t_final < dt or abs(ratio - round(ratio)) > 1e-9 * ratio:
-        raise ConfigError(f"t_final = {t_final!r} must be a whole number, at least 1, "
-                          f"of {what}steps dt = {dt!r}: t_final / dt = {ratio:.12g}")
-
-
-def _packet_on_grid(state: dict, grid: dict) -> None:
+def _packet_on_grid(state: dict, grid: dict, wigner: bool) -> None:
     """Reject a packet that reaches the edges of the periodic grid, in
-    position (x0 +- 6 sigma) or in momentum (|k0| + 3 / sigma against pi / dx)."""
+    position (x0 +- 6 sigma) or in momentum (|k0| + 3 / sigma against pi / dx,
+    or against the Wigner transform's pi / (2 dx) when it takes snapshots)."""
     x0, sigma, k0 = state["x0"], state["sigma"], state.get("k0", 0.0)
     lo = (-x0 if state["kind"] == "two_packet_cat" else x0) - 6.0 * sigma
     if lo < grid["x_min"] or x0 + 6.0 * sigma > grid["x_max"]:
         raise ConfigError(f"packet x0 = {x0!r}, sigma = {sigma!r} reaches "
                           f"[{lo:.6g}, {x0 + 6.0 * sigma:.6g}] at 6 sigma, outside the "
                           f"grid [{grid['x_min']!r}, {grid['x_max']!r}]")
-    k_max = math.pi / Grid1D(grid["n_points"], grid["x_min"], grid["x_max"]).dx
+    dx = Grid1D(grid["n_points"], grid["x_min"], grid["x_max"]).dx
+    k_max, bound = ((math.pi / (2.0 * dx), "the Wigner range pi / (2 dx)") if wigner
+                    else (math.pi / dx, "the grid's pi / dx"))
     if abs(k0) + 3.0 / sigma > k_max:
         raise ConfigError(f"packet k0 = {k0!r}, sigma = {sigma!r} reaches |k0| + 3 / sigma "
-                          f"= {abs(k0) + 3.0 / sigma:.6g}, past the grid's pi / dx = {k_max:.6g}")
-
-
-def _trajectory_stride(integ: dict, traj: dict) -> int:
-    """Trajectory steps per record, so that trajectories and the timeseries
-    are recorded at the same times."""
-    ratio = integ["record_stride"] * integ["dt"] / (traj.get("dt") or integ["dt"])
-    stride = round(ratio)
-    if stride < 1 or abs(ratio - stride) > 1e-9 * ratio:
-        raise ConfigError("the trajectory dt must divide record_stride * dt "
-                          "of the integrator")
-    return stride
+                          f"= {abs(k0) + 3.0 / sigma:.6g}, past {bound} = {k_max:.6g}")
 
 
 def _custom_operators(params: dict) -> tuple[Operator, list[tuple[float, Operator]]]:
@@ -569,7 +561,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path = ".") -> dict:
         series = {**_tabulate(records, quantities), **columns}
     except ConfigError:
         raise
-    except (PositivityLossError, QuadratureError, FloatingPointError,
+    except (PositivityLossError, QuadratureError, ArithmeticError,
             np.linalg.LinAlgError, ValueError, RuntimeError) as exc:
         raise NumericalFailure(str(exc)) from exc
 
@@ -704,13 +696,11 @@ def _run_master_equation(cfg: ScenarioConfig, summary: dict, out_dir: Path) -> t
             files.append({"file": path.name, "time": float(times[idx])})
         summary["files"]["wigner_snapshots"] = files
     if cfg.trajectories is not None:
+        # the unraveling of the same master equation, recorded at the same times
         tj = cfg.trajectories
-        tcfg = TrajectoryConfig(
-            n_trajectories=tj["n_trajectories"],
-            dt=tj.get("dt") or integ.dt,
-            t_final=integ.t_final,
-            seed=tj.get("seed") if tj.get("seed") is not None else cfg.seed,
-            record_stride=_trajectory_stride(cfg.integrator, tj))
+        seed = tj.get("seed") if tj.get("seed") is not None else cfg.seed
+        tcfg = TrajectoryConfig(tj["n_trajectories"], integ.dt, integ.t_final, seed,
+                                integ.record_stride)
         stats = ensemble_statistics(unravel(gen, rho0, tcfg), SIGMA_X)
         path = out_dir / f"{cfg.name}_trajectories.csv"
         _write_csv(path, ["t", "mean_sx", "stderr_sx"],

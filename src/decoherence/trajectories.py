@@ -28,13 +28,13 @@ fixed summation order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
 
 from .core import DensityMatrix, Operator, write_csv
-from .lindblad import ExtraTerm, LindbladGenerator, PositivityLossError, _march, record_steps
+from .lindblad import ExtraTerm, IntegratorConfig, LindbladGenerator, PositivityLossError, _march
 
 TRACE_DRIFT_LIMIT = 1e-4
 #: Hermiticity tolerance for the Hamiltonian and the Lindblad operators.
@@ -48,18 +48,18 @@ class TrajectoryConfig:
     t_final: float
     seed: int
     record_stride: int = 1
+    #: the time grid, checked by the integrator's own whole-step rule
+    integrator: IntegratorConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_trajectories < 1:
             raise ValueError("need at least one trajectory")
-        if self.dt <= 0 or self.t_final < self.dt:
-            raise ValueError("invalid time stepping")
-        if self.record_stride < 1:
-            raise ValueError("record_stride must be >= 1")
+        object.__setattr__(self, "integrator",
+                           IntegratorConfig(self.dt, self.t_final, self.record_stride))
 
     @property
     def n_steps(self) -> int:
-        return int(round(self.t_final / self.dt))
+        return self.integrator.n_steps
 
 
 @dataclass
@@ -120,12 +120,11 @@ def unravel(gen: LindbladGenerator, rho0: DensityMatrix,
     if rho0.dim != gen.dim:
         raise ValueError("state dimension does not match the generator")
 
-    n_steps = cfg.n_steps
-    steps = record_steps(n_steps, cfg.record_stride)
+    n_steps, times = cfg.n_steps, cfg.integrator.record_times()
     noise_ops = [(math.sqrt(rate), _measurement(op)) for rate, op in gen.lindblad_ops]
     n, dim = cfg.n_trajectories, gen.dim
     batch0 = np.broadcast_to(rho0.matrix, (n, dim, dim)).copy()
-    states = np.empty((n, len(steps), dim, dim), dtype=complex)
+    states = np.empty((n, len(times), dim, dim), dtype=complex)
     dw = _gaussian_increments(cfg.seed, n, n_steps, len(noise_ops), cfg.dt)
 
     def euler_maruyama(k: int, rho: np.ndarray) -> np.ndarray:
@@ -151,7 +150,6 @@ def unravel(gen: LindbladGenerator, rho0: DensityMatrix,
     # conditioned states fluctuate O(sqrt(dt)) around the positive cone, so
     # the mean is validated with a correspondingly loose clamp; anything
     # beyond the percent level still signals a broken run.
-    times = np.array(steps, dtype=float) * cfg.dt
     ensemble_mean = []
     for t, m in zip(times, np.mean(states, axis=0)):
         try:

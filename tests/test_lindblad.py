@@ -108,6 +108,26 @@ class TestFirstStandardForm:
             LindbladGenerator.from_first_standard_form(None, gamma, [SIGMA_X, SIGMA_Z])
 
 
+class TestIntegratorConfig:
+    @pytest.mark.parametrize("dt, t_final, ratio", [
+        (0.3, 1.0, "3.33333333333"),  # would end at t = 0.9
+        (0.002, 0.001, "0.5"),  # less than one step
+        (1e-3, float("inf"), "inf"),
+    ], ids=["would_end_at_0.9", "below_one_step", "infinite"])
+    def test_t_final_must_be_a_whole_number_of_steps(self, dt, t_final, ratio):
+        with pytest.raises(ValueError, match=rf"t_final = {t_final!r} must be a whole number, "
+                                             rf"at least 1, of steps dt = {dt!r}: "
+                                             rf"t_final / dt = {ratio}$"):
+            IntegratorConfig(dt, t_final)
+
+    def test_round_off_in_the_step_count_is_absorbed(self):
+        assert IntegratorConfig(1e-3, 0.3).n_steps == 300
+        # 0.7 / 0.1 is 6.999999999999999 in floating point
+        cfg = IntegratorConfig(0.1, 0.7, 3)
+        assert cfg.n_steps == 7
+        assert_allclose(cfg.record_times(), [0.0, 0.3, 0.6, 0.7], rtol=1e-15)
+
+
 class TestEvolve:
     def test_closed_system_rabi_phase(self):
         omega = 2.0

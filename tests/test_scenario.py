@@ -420,6 +420,15 @@ x_max = 6.0
 """
 
 
+def _run_cli_subprocess(*args: str) -> subprocess.CompletedProcess:
+    """`python -m decoherence.cli *args` in a child that imports the package
+    under test, also when only pytest's pythonpath puts it on sys.path."""
+    src = str(Path(decoherence.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "decoherence.cli", *args],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+
+
 class TestTrajectoriesScenario:
     def test_writes_trajectories_and_reruns_byte_identical(self, tmp_path):
         path = tmp_path / "traj.cfg"
@@ -435,10 +444,16 @@ class TestTrajectoriesScenario:
         for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_finer_trajectory_step_records_the_timeseries_times(self, tmp_path):
-        # half the integrator's dt: the trajectories take twice the record stride
+    def test_trajectories_record_on_the_integrator_grid(self, tmp_path, capsys):
+        # the trajectories step on the integrator's dt: a finer trajectory
+        # step is written as its folded twin, the integrator's dt halved and
+        # its record stride doubled
         path = tmp_path / "traj.cfg"
         path.write_text(CUSTOM_TRAJECTORIES + "dt = 0.005\n")
+        assert cli_main(["validate", str(path)]) == 2
+        assert "unknown key 'dt' in section [trajectories]" in capsys.readouterr().err
+        path.write_text(CUSTOM_TRAJECTORIES.replace("dt = 0.01", "dt = 0.005")
+                        .replace("record_stride = 10", "record_stride = 20"))
         assert cli_main(["run", str(path), "--out", str(tmp_path)]) == 0
 
         def t_column(name):
@@ -712,10 +727,6 @@ x_max = 8.0
         # fewer than one step
         (MINIMAL_QUBIT.replace("t_final = 2.0", "t_final = 0.001"),
          "t_final = 0.001 must be a whole number, at least 1, of steps dt = 0.002"),
-        # fewer than one trajectory step
-        (CUSTOM_TRAJECTORIES + "dt = 1.0\n", "of trajectory steps dt = 1.0"),
-        # a record interval of 10 * 0.01 is not a whole number of 0.125 steps
-        (CUSTOM_TRAJECTORIES + "dt = 0.125\n", "the trajectory dt must divide"),
         # a Wigner snapshot after the last record
         (GRID_SNAPSHOTS.replace("wigner_times = 0.0, 0.1", "wigner_times = 0.0, 0.2"),
          "wigner_times: 0.2 lies outside"),
@@ -723,24 +734,32 @@ x_max = 8.0
         ((SCENARIO_DIR / "dephasing_qubit.cfg").read_text()
          .replace("dt = 0.002", "dt = 0.3").replace("t_final = 6.0", "t_final = 1.0"),
          "t_final = 1.0 must be a whole number, at least 1, of steps dt = 0.3"),
-        # trajectories of 0.2 steps would stop at t = 0.2, the timeseries at 0.3
-        (CUSTOM_TRAJECTORIES.replace("dt = 0.01\nt_final = 0.5\nrecord_stride = 10",
-                                     "dt = 0.1\nt_final = 0.3\nrecord_stride = 2")
-         + "dt = 0.2\n", "t_final = 0.3 must be a whole number, at least 1, of trajectory "
-                         "steps dt = 0.2"),
         # the packet at 7.5 + 6 * 0.5 wraps round the periodic grid edge at 8
         ((SCENARIO_DIR / "two_packet_collisional.cfg").read_text()
          .replace("x0 = 2.0", "x0 = 7.5"),
          "x0 = 7.5, sigma = 0.5 reaches [-10.5, 10.5] at 6 sigma, outside the grid [-8.0, 8.0]"),
         # 12 + 3 / 0.5 past the 64-point grid's pi / dx = 16.49
-        (GRID_SNAPSHOTS.replace("sigma = 0.5", "sigma = 0.5\nk0 = 12.0"),
+        (GRID_SNAPSHOTS.replace("sigma = 0.5", "sigma = 0.5\nk0 = 12.0")
+         .replace("quantities = wigner_snapshots", "quantities = purity"),
          "|k0| + 3 / sigma = 18, past the grid's pi / dx = 16.4934"),
+        # 10 + 3 / 0.5 fits pi / dx but not the momenta pi / (2 dx) of a snapshot
+        (GRID_SNAPSHOTS.replace("sigma = 0.5", "sigma = 0.5\nk0 = 10.0"),
+         "|k0| + 3 / sigma = 16, past the Wigner range pi / (2 dx) = 8.24668"),
+        # non-finite numbers, also inside a list
+        (MINIMAL_QUBIT.replace("theta = 1.5707963267948966", "theta = nan"),
+         "key 'theta': 'nan' is not finite"),
+        (GRID_SNAPSHOTS.replace("wigner_times = 0.0, 0.1", "wigner_times = 0.0, inf"),
+         "key 'wigner_times': '0.0, inf' is not finite"),
+        # 4 |alpha|^2 sin^2 chi overflows a float
+        ((SCENARIO_DIR / "cavity_cat.cfg").read_text()
+         .replace("alpha = 1.8708286933869707", "alpha = 1e200"),
+         "catness 4 |alpha|^2 sin^2 chi is not finite"),
     ], ids=["non_hermitian_h", "spin_boson_trajectories",
             "non_hermitian_l_trajectories", "t_final_below_dt",
-            "t_final_below_trajectory_dt", "trajectory_dt_not_dividing_record_interval",
             "wigner_time_past_t_final", "t_final_not_whole_steps",
-            "t_final_not_whole_trajectory_steps", "packet_past_grid_edge",
-            "packet_past_grid_momentum"])
+            "packet_past_grid_edge", "packet_past_grid_momentum",
+            "packet_past_wigner_range", "non_finite_float", "non_finite_list_entry",
+            "catness_past_float_range"])
     def test_input_errors_exit_2(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.cfg"
         path.write_text(text)
@@ -749,14 +768,34 @@ x_max = 8.0
         assert not list(tmp_path.glob("*.csv"))
 
     def test_aliased_wigner_snapshot_names_its_time(self, tmp_path, capsys):
-        # k0 + 3 / sigma = 16 fits the grid's pi / dx = 16.49 but not the
-        # Wigner transform's momentum range pi / (2 dx)
+        # the packet starts inside the Wigner transform's momentum range
+        # pi / (2 dx), and strong scattering spreads its momenta past it
         path = tmp_path / "aliased.cfg"
-        path.write_text(GRID_SNAPSHOTS.replace("sigma = 0.5", "sigma = 0.5\nk0 = 10.0")
+        path.write_text(GRID_SNAPSHOTS.replace("lambda = 0.5", "lambda = 20.0")
                         .replace("wigner_times = 0.0, 0.1", "wigner_times = 0.1"))
         assert cli_main(["run", str(path), "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert "Wigner marginals off" in err and err.rstrip().endswith("at t=0.1")
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("cutoff = 50.0", "cutoff = 1e200", "out of range"),  # OverflowError
+        ("temperature = 1.0", "temperature = 1e308", "division by zero"),
+    ], ids=["overflow", "zero_division"])
+    def test_arithmetic_failures_exit_3(self, tmp_path, capsys, old, new, message):
+        path = tmp_path / "bath.cfg"
+        path.write_text((SCENARIO_DIR / "dephasing_qubit.cfg").read_text().replace(old, new))
+        assert cli_main(["run", str(path), "--out", str(tmp_path)]) == 3
+        assert message in capsys.readouterr().err
+
+    def test_overflowing_bath_quadrature_exits_3(self, tmp_path):
+        # the nan [0, w0] part of a lag integral once reached QUADPACK's QAWF
+        # as its tolerance and crashed the interpreter: run it in a child
+        path = tmp_path / "bath.cfg"
+        path.write_text((SCENARIO_DIR / "dephasing_qubit.cfg").read_text()
+                        .replace("alpha = 0.02", "alpha = 1e308"))
+        proc = _run_cli_subprocess("run", str(path), "--out", str(tmp_path))
+        assert proc.returncode == 3
+        assert "integral over [0, 125.664] is not finite" in proc.stderr
 
     def test_non_hermitian_lindblad_operator_runs_without_trajectories(self, tmp_path):
         # amplitude damping is a valid master equation; only its diffusive
@@ -768,12 +807,6 @@ x_max = 8.0
         assert cli_main(["run", str(path), "--out", str(tmp_path)]) == 0
 
     def test_entry_point_runs_as_subprocess(self, tmp_path):
-        # the child imports the package under test, also when only pytest's
-        # pythonpath puts it on sys.path
-        src = str(Path(decoherence.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "decoherence.cli", "models"],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+        proc = _run_cli_subprocess("models")
         assert proc.returncode == 0
         assert "model collisional" in proc.stdout

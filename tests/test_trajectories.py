@@ -86,6 +86,15 @@ class TestUnravelBasics:
             unravel(gen, KET_PLUS.density(),
                     TrajectoryConfig(4, dt=1e-3, t_final=0.1, seed=1))
 
+    def test_time_grid_takes_the_integrators_whole_step_rule(self):
+        with pytest.raises(ValueError, match=r"t_final = 1.0 must be a whole number, at "
+                                             r"least 1, of steps dt = 0.3"):
+            TrajectoryConfig(4, 0.3, 1.0, 1)
+        cfg = TrajectoryConfig(4, 1e-3, 0.3, seed=1, record_stride=100)
+        assert cfg.n_steps == 300
+        ens = unravel(DEPHASING, KET_PLUS.density(), cfg)
+        assert ens.times.tobytes() == IntegratorConfig(1e-3, 0.3, 100).record_times().tobytes()
+
     def test_oversized_step_raises_instability(self):
         from decoherence.trajectories import StepInstabilityError
         stiff = LindbladGenerator(None, [(50.0, SIGMA_X)])
