@@ -20,9 +20,10 @@ are diagonal, into the no-jump part G rho + rho G' when one side is the
 identity, among the products A rho B otherwise.
 
 `propagate` takes exp(L t) rho0 straight from rho0 for free motion under a
-quadratic scattering kernel, else steps it by the split step, the exact
-propagator of a small generator or `evolve`, classical fixed-step 4th-order,
-whose error `convergence_check` estimates by halving dt.  Every stepping
+quadratic scattering kernel, or from rho0's moments for a Gaussian rho0 under
+a generator that carries its moment flow, else steps it by the split step,
+the exact propagator of a small generator or `evolve`, classical fixed-step
+4th-order, whose error `convergence_check` estimates by halving dt.  Every stepping
 evolver of the package runs the loop `_march` on the schedule `record_steps`.
 """
 
@@ -48,6 +49,8 @@ POSITIVITY_DRIFT_TOL = 1e-7
 RK4_STABILITY_LIMIT = 2.785
 #: largest dim stepped by its exact propagator: 16^4 complex entries, 1 MiB
 EXACT_MAX_DIM = 16
+#: largest predicted edge density of a Gaussian record, relative to its peak
+GAUSSIAN_EDGE_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -116,13 +119,16 @@ class LindbladGenerator:
     An apply is K o rho, G rho + rho G', one fft2 and one ifft2 of the
     stack [M, C, ...] o fft2(rho), and the products.  A model whose kernel
     has no small operator form passes it as `kernel`; it adds to the
-    folded one.
+    folded one.  A quadratic generator on a grid passes its moment flow as
+    `moments`, (A, b, x): d m / dt = A m + b for m = (<x>, <p>, <x^2>,
+    <xp + px>, <p^2>) on the grid positions x, which `gaussian` reads.
     """
 
     def __init__(self, hamiltonian: Operator | None,
                  lindblad_ops: Sequence[tuple[float, Operator]] = (),
                  extra_terms: Sequence[ExtraTerm] = (),
-                 kernel: np.ndarray | None = None):
+                 kernel: np.ndarray | None = None,
+                 moments: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None):
         dims = set()
         if hamiltonian is not None:
             dims.add(hamiltonian.dim)
@@ -146,6 +152,8 @@ class LindbladGenerator:
         self.extra_terms = tuple(extra_terms)
         #: part of the kernel was passed in, with no operators behind it
         self.bare_kernel = kernel is not None
+        #: (A, b, x) of the moment flow, or None
+        self.moments = moments
         one = np.ones(self.dim)
         pieces = []  # (c, A, B) of each c A rho B
         for rate, op in self.lindblad_ops:
@@ -279,7 +287,8 @@ def apply_generator(gen: LindbladGenerator, rho: DensityMatrix) -> np.ndarray:
 
 def record_steps(n_steps: int, record_stride: int) -> list[int]:
     """The record schedule: step 0, every record_stride-th step, the last step."""
-    return [k for k in range(n_steps + 1) if k % record_stride == 0 or k == n_steps]
+    steps = list(range(0, n_steps + 1, record_stride))
+    return steps + [n_steps] if n_steps % record_stride else steps
 
 
 def _march(state: np.ndarray, step: Callable[[int, np.ndarray], np.ndarray],
@@ -379,6 +388,77 @@ def characteristic(gen: LindbladGenerator, rho0: np.ndarray
         np.fill_diagonal(rho, rho.diagonal().real)
         return rho
     return record
+
+
+def moment_flow(a: np.ndarray, b: np.ndarray, m0: np.ndarray,
+                times: np.ndarray) -> np.ndarray:
+    """m(t) of the affine flow d m / dt = A m + b from m(0) = m0, one row per
+    time: (m, 1) moves by the matrix exponential of [[A, b], [0, 0]] t."""
+    from scipy.linalg import expm
+    flow = np.zeros((len(b) + 1,) * 2)
+    flow[:-1, :-1], flow[:-1, -1] = a, b
+    m0 = np.append(np.asarray(m0, dtype=float), 1.0)
+    return np.array([(expm(flow * t) @ m0)[:-1] for t in times])
+
+
+def grid_moments(rho: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Tr(O rho) for O = x, p, x^2, xp + px, p^2 of a Hermitian rho on the
+    grid positions x, with p the spectral momentum of the grid."""
+    n = len(x)
+    k = 2.0 * np.pi * np.fft.fftfreq(n, (x[-1] - x[0]) / (n - 1))
+    pos = rho.diagonal().real
+    mom = scipy.fft.fft(scipy.fft.ifft(rho, axis=1), axis=0).diagonal().real
+    p_rho = scipy.fft.ifft(k[:, None] * scipy.fft.fft(rho, axis=0), axis=0)
+    return np.array([x @ pos, k @ mom, x ** 2 @ pos, 2.0 * (x @ p_rho.diagonal()).real,
+                     k ** 2 @ mom])
+
+
+def gaussian(gen: LindbladGenerator, rho0: np.ndarray, times: np.ndarray
+             ) -> Iterator[np.ndarray] | None:
+    """The records at times of a Gaussian rho0 under a generator that carries
+    its moment flow (A, b, x), from rho0's moments; None for any other case.
+
+    A quadratic master equation keeps a Gaussian state Gaussian, its mean
+    (X, P) and covariance S moving by the flow of m = (<x>, <p>, <x^2>,
+    <xp + px>, <p^2>) (Hu, Paz & Zhang, PRD 45, 2843, 1992).  With r = (x + x')
+    / 2 and s = x - x' the record is exp[-(r - X)^2 / 2 S_xx - det S s^2 / 2 S_xx
+    + i (S_xp / S_xx (r - X) + P) s] over its trace.  It needs the Gaussian of
+    rho0's moments to equal rho0 within CP_EIGENVALUE_TOL times its largest
+    entry, the predicted densities at the grid edges, in x and at k = +-pi/dx,
+    within GAUSSIAN_EDGE_TOL of their peaks at every time, and det S >= 1/4
+    at every time after the first.  Then each record is a continuum state
+    sampled on the grid, a positive semidefinite matrix.  The first record
+    is the Gaussian rebuilt from rho0.
+    """
+    if gen.moments is None or len(rho0) != gen.dim:
+        return None
+    a, b, x = gen.moments
+    m = moment_flow(a, b, grid_moments(rho0, x), times)
+    mean_x, mean_p = m[:, 0], m[:, 1]
+    s_xx, s_pp = m[:, 2] - mean_x ** 2, m[:, 4] - mean_p ** 2
+    s_xp = 0.5 * m[:, 3] - mean_x * mean_p
+    det = s_xx * s_pp - s_xp ** 2
+    if not (np.all(s_xx > 0.0) and np.all(s_pp > 0.0) and np.all(det[1:] >= 0.25)):
+        return None
+    # squared distance of the mean to the nearer edge, in x and in k, over the variance
+    k_edge = np.pi * (len(x) - 1) / (x[-1] - x[0])
+    gap_x = np.maximum(np.minimum(mean_x - x[0], x[-1] - mean_x), 0.0) ** 2 / s_xx
+    gap_k = np.maximum(k_edge - np.abs(mean_p), 0.0) ** 2 / s_pp
+    if not np.all(np.exp(-0.5 * np.minimum(gap_x, gap_k)) <= GAUSSIAN_EDGE_TOL):
+        return None
+    r, s = 0.5 * np.add.outer(x, x), np.subtract.outer(x, x)
+
+    def record(i: int) -> np.ndarray:
+        u = r - mean_x[i]
+        rho = np.exp(-(u * u + det[i] * s * s) / (2.0 * s_xx[i])
+                     + 1j * (s_xp[i] / s_xx[i] * u + mean_p[i]) * s)
+        rho /= rho.trace().real
+        return rho
+
+    first = record(0)
+    if not np.max(np.abs(first - rho0)) <= CP_EIGENVALUE_TOL * np.max(np.abs(rho0)):
+        return None
+    return itertools.chain([first], map(record, range(1, len(times))))
 
 
 @dataclass(frozen=True)
@@ -499,19 +579,28 @@ def propagate(gen: LindbladGenerator, rho0: DensityMatrix,
 
     Free motion E = eps a^2 with no potential, K = -lam (i - j)^2 with lam >= 0
     and a rho0 clear of the grid edges, in position and in momentum, take
-    `characteristic` ("characteristic"), each record straight from rho0;
-    any other E(k) plus an elementwise kernel, or rho0 at the edges, `split_march`
+    `characteristic` ("characteristic"), each record straight from rho0.
+    A generator that carries its moment flow (qbm, caldeira_leggett) and a
+    Gaussian rho0 take `gaussian` ("gaussian"), each record from rho0's
+    moments, when three conditions hold: the Gaussian of those moments is
+    rho0, the predicted edge densities stay within GAUSSIAN_EDGE_TOL of the
+    peak, and det S >= 1/4 at every record time.  Any other E(k) plus an
+    elementwise kernel, or rho0 at the edges, takes `split_march`
     ("split_step"), any other generator of dim <= EXACT_MAX_DIM its
     propagator P = expm(L dt) ("exact"), a larger one `evolve` ("rk4").
-    The characteristic records are completely positive by construction, a
-    step is certified once per run by a positive semidefinite Schur factor
-    exp(K dt) or by check_complete_positivity(P); certified records have
-    only their trace checked.
+    The characteristic and Gaussian records are completely positive by
+    construction, a step is certified once per run by a positive
+    semidefinite Schur factor exp(K dt) or by check_complete_positivity(P);
+    certified records have only their trace checked.
     """
+    steps = record_steps(cfg.n_steps, cfg.record_stride)
     record = characteristic(gen, rho0.matrix)
     if record is not None:
-        march = ((k, record(k * cfg.dt)) for k in record_steps(cfg.n_steps, cfg.record_stride))
+        march = ((k, record(k * cfg.dt)) for k in steps)
         return _record(gen, rho0, cfg, "characteristic", march, True)
+    records = gaussian(gen, rho0.matrix, cfg.record_times())
+    if records is not None:
+        return _record(gen, rho0, cfg, "gaussian", zip(steps, records), True)
     if gen.splits:
         f = None if gen.kernel is None else np.exp(gen.kernel * cfg.dt)
         cp = f is None or np.linalg.eigvalsh(f)[0] >= -CP_EIGENVALUE_TOL

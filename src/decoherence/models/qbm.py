@@ -15,6 +15,15 @@ structured extra terms.  Its operators are grid operators: x is diagonal in
 position, p diagonal in momentum and H = p^2/2M + V(x) the sum of both, so
 a generator apply is FFTs and elementwise products, and no dense n x n
 operator is built.
+
+The equation is quadratic, so the moments m = (<x>, <p>, <x^2>, <xp+px>,
+<p^2>) follow a closed affine flow d m / dt = A m + b (`qbm_moment_matrix`),
+and a Gaussian state stays Gaussian.  Each generator carries the (A, b) of
+its own coefficients and switches, and `lindblad.propagate` takes the
+"gaussian" route from it: every record of a Gaussian packet from its
+moments, with no time step, when the packet is a Gaussian within 1e-8 of
+its largest entry, its predicted edge densities stay within 1e-6 of their
+peaks, and det S >= 1/4 holds at every record time.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ from ..lindblad import (
     ExtraTerm,
     LindbladGenerator,
     born_markov_coefficients,
+    moment_flow,
     ohmic,
 )
 
@@ -76,18 +86,13 @@ def qbm_generator(params: QBMParams, grid: Grid1D,
     The decoherence term -D [x, [x, rho]] is carried as the Lindblad pair
     (rate 2D, L = x); damping and the anomalous term (switchable; it is
     usually negligible at high temperature but belongs to the equation) are
-    extra terms.
+    extra terms.  The generator carries its moment flow.
     """
     c = coefficients if coefficients is not None else qbm_coefficients(params)
-    x = grid.position_operator()
-    p = grid.momentum_operator()
-    h = _hamiltonian(grid, params.mass, params.Omega ** 2 + c.omega_shift_sq)
-    extra = []
-    if include_dissipation:
-        extra.append(ExtraTerm("comm_anticomm", x, p, -1j * c.gamma, label="damping"))
-        if include_anomalous:
-            extra.append(ExtraTerm("double_comm", x, p, -c.f, label="anomalous"))
-    return LindbladGenerator(h, [(2.0 * c.D, x)], extra_terms=extra)
+    gamma = c.gamma if include_dissipation else 0.0
+    f = c.f if include_dissipation and include_anomalous else 0.0
+    return _oscillator_generator(params.mass, params.Omega ** 2 + c.omega_shift_sq,
+                                 gamma, c.D, f, grid)
 
 
 def caldeira_leggett_generator(params: QBMParams, grid: Grid1D,
@@ -107,15 +112,27 @@ def caldeira_leggett_generator(params: QBMParams, grid: Grid1D,
             f"with Omega = {params.Omega}, cutoff = {params.cutoff}; "
             "the limit assumes k_B T well above both",
             stacklevel=2)
+    return _oscillator_generator(
+        params.mass, params.Omega ** 2 - 2.0 * params.gamma0 * params.cutoff,
+        params.gamma0 if include_dissipation else 0.0,
+        2.0 * params.mass * params.gamma0 * params.T, 0.0, grid)
+
+
+def _oscillator_generator(mass: float, omega_sq: float, gamma: float, D: float,
+                          f: float, grid: Grid1D) -> LindbladGenerator:
+    """-i [p^2/2M + M omega_sq x^2/2, rho] - D [x, [x, rho]], the damping term
+    -i gamma [x, {p, rho}] and the anomalous term -f [x, [p, rho]] when their
+    rates are nonzero, carrying the moment flow of exactly these terms."""
     x = grid.position_operator()
     p = grid.momentum_operator()
-    h = _hamiltonian(grid, params.mass, params.Omega ** 2 - 2.0 * params.gamma0 * params.cutoff)
-    D = 2.0 * params.mass * params.gamma0 * params.T
     extra = []
-    if include_dissipation:
-        extra.append(ExtraTerm("comm_anticomm", x, p, -1j * params.gamma0,
-                               label="damping"))
-    return LindbladGenerator(h, [(2.0 * D, x)], extra_terms=extra)
+    if gamma != 0.0:
+        extra.append(ExtraTerm("comm_anticomm", x, p, -1j * gamma, label="damping"))
+    if f != 0.0:
+        extra.append(ExtraTerm("double_comm", x, p, -f, label="anomalous"))
+    a, b = qbm_moment_matrix(mass, omega_sq, gamma, D, f)
+    return LindbladGenerator(_hamiltonian(grid, mass, omega_sq), [(2.0 * D, x)],
+                             extra_terms=extra, moments=(a, b, grid.x))
 
 
 # ---------------------------------------------------------------------------
@@ -156,23 +173,17 @@ def qbm_position_variance(params: QBMParams, times: np.ndarray,
                           coefficients: BornMarkovCoefficients | None = None,
                           free_particle: bool = False,
                           include_anomalous: bool = True) -> np.ndarray:
-    """Var(x)(t) from the second-moment flow.
-
-    The affine flow d m / dt = A m + b is solved exactly: (m, 1) evolves by
-    the matrix exponential of the 6 x 6 system [[A, b], [0, 0]].
-    free_particle drops the (shifted) potential, the regime in which the
-    late-time variance grows linearly at rate D / (2 M^2 gamma^2).
+    """Var(x)(t) from the second-moment flow, solved exactly by `moment_flow`
+    from initial_moments at times[0].  free_particle drops the (shifted)
+    potential, the regime in which the late-time variance grows linearly at
+    rate D / (2 M^2 gamma^2).
     """
-    from scipy.linalg import expm
     c = coefficients if coefficients is not None else qbm_coefficients(params)
     omega_sq = 0.0 if free_particle else params.Omega ** 2 + c.omega_shift_sq
-    A, b = qbm_moment_matrix(params.mass, omega_sq, c.gamma, c.D,
+    a, b = qbm_moment_matrix(params.mass, omega_sq, c.gamma, c.D,
                              c.f if include_anomalous else 0.0)
-    flow = np.zeros((6, 6))
-    flow[:5, :5], flow[:5, 5] = A, b
-    m0 = np.append(np.asarray(initial_moments, dtype=float), 1.0)
     t = np.asarray(times, dtype=float)
-    m = np.array([expm(flow * (ti - t[0])) @ m0 for ti in t])
+    m = moment_flow(a, b, initial_moments, t - t[0])
     return m[:, 2] - m[:, 0] ** 2
 
 

@@ -559,7 +559,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path = ".") -> dict:
         else:
             times, records, columns = _run_master_equation(cfg, summary, out_dir)
         series = {**_tabulate(records, quantities), **columns}
-    except ConfigError:
+    except (ConfigError, NumericalFailure):
         raise
     except (PositivityLossError, QuadratureError, ArithmeticError,
             np.linalg.LinAlgError, ValueError, RuntimeError) as exc:
@@ -655,7 +655,10 @@ def _run_master_equation(cfg: ScenarioConfig, summary: dict, out_dir: Path) -> t
     else:
         psi0 = bloch_state(st["theta"], st["phi"])
 
-    gen = _generator(cfg, grid)
+    try:
+        gen = _generator(cfg, grid)
+    except (ArithmeticError, QuadratureError) as exc:
+        raise NumericalFailure(f"bath coefficients: {exc}") from exc
     rho0 = psi0.density()
     res = propagate(gen, rho0, integ)
     times, mats = res.times, res.matrices

@@ -16,6 +16,7 @@ from scipy.sparse.linalg import expm_multiply
 
 from decoherence.core import KET_PLUS, DensityMatrix, Grid1D, GridOperator, Operator, SIGMA_Z
 from decoherence.lindblad import (
+    BornMarkovCoefficients,
     ExtraTerm,
     IntegratorConfig,
     LindbladGenerator,
@@ -31,8 +32,10 @@ from decoherence.lindblad import (
 from decoherence.measures import von_neumann_entropy
 from decoherence.models import (
     CollisionalParams,
+    QBMParams,
     collisional_evolve_split_step,
     collisional_generator,
+    qbm_generator,
 )
 from decoherence.scenario import parse_config, run_scenario
 from decoherence.trajectories import TrajectoryConfig, unravel
@@ -295,6 +298,14 @@ class TestRecordSchedule:
         assert record_steps(4, 1) == [0, 1, 2, 3, 4]
         assert record_steps(4, 9) == [0, 4]
 
+    def test_schedule_is_arithmetic(self):
+        for n in range(61):
+            for stride in range(1, 14):
+                scan = [k for k in range(n + 1) if k % stride == 0 or k == n]
+                assert record_steps(n, stride) == scan
+        # no scan over the steps: a trillion steps list their 11 records at once
+        assert record_steps(10 ** 12, 10 ** 11) == [k * 10 ** 11 for k in range(11)]
+
     def test_evolve(self):
         gen = LindbladGenerator(None, [(0.5, SIGMA_Z)])
         res = evolve(gen, KET_PLUS.density(),
@@ -411,12 +422,17 @@ class TestSingleValidationPass:
             assert np.linalg.eigvalsh(m)[0] >= -1e-12
 
     def test_rk4_entropy_takes_the_validation_spectrum(self, tmp_path, monkeypatch, eig_calls):
+        # RK4 records of the qbm_packet generator, tabulated as a scenario does
         monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
         import workloads
+        from decoherence import scenario
         cfg = parse_config(workloads.Scenarios(ROOT, 1, tmp_path).generated()["qbm_packet"])
-        cfg.integrator = {"dt": 0.01, "t_final": 0.1, "record_stride": 5}
-        cfg.outputs = {**cfg.outputs, "quantities": ("entropy",)}
-        run_scenario(cfg, out_dir=tmp_path)
+        grid = Grid1D(cfg.grid["n_points"], cfg.grid["x_min"], cfg.grid["x_max"])
+        gen = scenario._generator(cfg, grid)
+        rho0 = grid.gaussian_packet(0.5, 1.0).density()
+        eig_calls.clear()
+        res = evolve(gen, rho0, IntegratorConfig(0.01, 0.1, 5))
+        scenario._tabulate(res.states, ("entropy",))
         # one eigh per record after the first; eigvalsh only for the pure rho0
         assert eig_calls == ["eigh", "eigh", "eigvalsh"]
 
@@ -436,10 +452,16 @@ class TestRecordContract:
         """(generator, rho0, config) of each route propagate can take."""
         small, wide = Grid1D(16, -2.0, 2.0), Grid1D(48, -6.0, 6.0)
         scattering = CollisionalParams(Lambda=0.5)
+        bath = BornMarkovCoefficients(omega_shift_sq=-0.5, gamma=0.1, D=0.9, f=-0.2,
+                                      quadrature_error=0.0)
         return {
             "characteristic": (collisional_generator(scattering, wide),
                                wide.two_packet_cat(1.5, 0.5).density(),
                                IntegratorConfig(0.05, 1.0, 4)),
+            "gaussian": (qbm_generator(QBMParams(1.0, 1.0, 0.1, 5.0, 5.0), wide,
+                                       coefficients=bath),
+                         wide.gaussian_packet(0.3, 0.8, 0.5).density(),
+                         IntegratorConfig(0.05, 0.5, 2)),
             "split_step": (collisional_generator(scattering, small),
                            small.gaussian_packet(0.0, 0.6).density(),
                            IntegratorConfig(1e-3, 0.02, 4)),
@@ -450,7 +472,8 @@ class TestRecordContract:
                     random_density(rng, 17), IntegratorConfig(1e-3, 0.02, 5)),
         }
 
-    @pytest.mark.parametrize("evolver", ["characteristic", "split_step", "exact", "rk4"])
+    @pytest.mark.parametrize("evolver", ["characteristic", "gaussian", "split_step", "exact",
+                                         "rk4"])
     def test_every_route_records_density_matrices(self, rng, eig_calls, evolver):
         gen, rho0, cfg = self.routes(rng)[evolver]
         eig_calls.clear()
@@ -637,7 +660,7 @@ class TestPropagate:
         ("two_packet_collisional", "characteristic"),
         ("dephasing_qubit", "split_step"),
         ("sw_twin", "split_step"),
-        ("qbm_packet", "rk4"),
+        ("qbm_packet", "gaussian"),
         ("traj_qubit", "split_step"),
     ])
     def test_benchmark_scenarios_record_their_evolver(self, tmp_path, monkeypatch,

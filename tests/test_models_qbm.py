@@ -9,8 +9,14 @@ from decoherence.core import FockSpace, Grid1D, GridOperator, Operator
 from decoherence.lindblad import (
     BornMarkovCoefficients,
     ExtraTerm,
+    IntegratorConfig,
     LindbladGenerator,
+    PositivityLossError,
     apply_generator,
+    evolve,
+    gaussian,
+    grid_moments,
+    propagate,
 )
 from decoherence.models import (
     CollisionalParams,
@@ -296,6 +302,73 @@ class TestMomentFlow:
         assert localization_rate(HIGH_T.mass, HIGH_T.gamma0, HIGH_T.T, dx) == \
             pytest.approx(want, rel=1e-12)
         assert high_t_coefficients.D * dx ** 2 == pytest.approx(want, rel=0.02)
+
+
+class TestGaussianRoute:
+    """Records of a Gaussian packet taken from its moments under the moment
+    flow (A, b) that the generator carries, with no time step."""
+
+    def test_grid_moments_of_a_packet(self):
+        grid = Grid1D(96, -6.0, 6.0)
+        x0, sigma, k0 = 0.4, 0.7, 0.6
+        m = grid_moments(grid.gaussian_packet(x0, sigma, k0).density().matrix, grid.x)
+        want = [x0, k0, x0 ** 2 + sigma ** 2, 2.0 * x0 * k0, k0 ** 2 + 0.25 / sigma ** 2]
+        assert_allclose(m, want, rtol=1e-12, atol=1e-12)
+
+    def test_moment_flow_is_the_generators_own(self):
+        # d m / dt of gen.apply(rho), read on the grid, against A m + b, for
+        # every switch of the terms that builds a generator
+        gens = grid_generators(96)
+        assert gens.pop("collisional").moments is None
+        rho = Grid1D(96, -6.0, 6.0).gaussian_packet(0.4, 0.7, 0.6).density().matrix
+        for name, gen in gens.items():
+            a, b, x = gen.moments
+            got = grid_moments(gen.apply(rho), x)
+            want = a @ grid_moments(rho, x) + b
+            assert_allclose(got, want, rtol=1e-8, atol=1e-8 * np.max(np.abs(want)),
+                            err_msg=name)
+
+    def test_records_are_rk4_at_a_quarter_step(self):
+        # the qbm_packet benchmark scenario
+        grid = Grid1D(96, -8.0, 8.0)
+        gen = qbm_generator(QBMParams(1.0, 1.0, 0.1, 5.0, 5.0), grid)
+        rho0 = grid.gaussian_packet(0.5, 1.0).density()
+        res = propagate(gen, rho0, IntegratorConfig(0.01, 1.0, 5))
+        rk4 = evolve(gen, rho0, IntegratorConfig(0.0025, 1.0, 20))
+        assert res.evolver == "gaussian"
+        for got, want in zip(res.matrices, rk4.matrices):
+            assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(got))
+            assert np.array_equal(got, got.conj().T)
+            assert np.linalg.eigvalsh(got)[0] >= -1e-12
+
+    @pytest.mark.parametrize("params, state, t_final", [
+        # each fails one condition: a cat is no Gaussian (off by 0.7 of its peak)
+        (QBMParams(1.0, 1.0, 0.1, 5.0, 5.0), ("two_packet_cat", 0.8, 0.4), 0.1),
+        # a packet whose spread reaches 2.4e-4 of its peak at the edges by t = 1
+        (QBMParams(1.0, 1.0, 0.1, 5.0, 5.0), ("gaussian_packet", 0.3, 0.8, 0.5), 1.0),
+        # a cold bath's damping squeezes det S to 0.245 within t = 0.1
+        (QBMParams(1.0, 1.0, 0.1, 0.05, 5.0), ("gaussian_packet", 0.0, 0.3), 0.1),
+    ], ids=["cat", "past_the_edge", "below_robertson_schroedinger"])
+    def test_what_it_declines_keeps_rk4(self, params, state, t_final):
+        grid = Grid1D(48, -6.0, 6.0)
+        gen = qbm_generator(params, grid)
+        rho0 = getattr(grid, state[0])(*state[1:]).density()
+        cfg = IntegratorConfig(0.01, t_final, 5)
+        assert gaussian(gen, rho0.matrix, cfg.record_times()) is None
+
+        def outcome(run):
+            try:
+                res = run(gen, rho0, cfg)
+            except PositivityLossError as exc:
+                return str(exc)
+            return res.evolver, np.array(res.matrices)
+
+        got, want = outcome(propagate), outcome(evolve)
+        assert type(got) is type(want)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got[0] == want[0] == "rk4" and np.array_equal(got[1], want[1])
 
 
 class TestGridEvolution:

@@ -670,7 +670,7 @@ x_max = 8.0
     def test_rk4_instability_asks_for_a_smaller_step(self, tmp_path, capsys):
         # the kernel rate 2D (x_i - x_j)^2 / 2 reaches about 2 560, so dt = 0.01
         # is far outside RK4's stability interval: the step, not the damping
-        # term, is at fault
+        # term, is at fault.  A cat, since a packet takes the Gaussian route
         path = tmp_path / "cl_stiff.cfg"
         path.write_text("""
 [scenario]
@@ -685,7 +685,8 @@ temperature = 50.0
 cutoff = 5.0
 
 [initial_state]
-kind = gaussian_packet
+kind = two_packet_cat
+x0 = 2.0
 sigma = 0.5
 
 [integrator]
@@ -785,7 +786,9 @@ x_max = 8.0
         path = tmp_path / "bath.cfg"
         path.write_text((SCENARIO_DIR / "dephasing_qubit.cfg").read_text().replace(old, new))
         assert cli_main(["run", str(path), "--out", str(tmp_path)]) == 3
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # the message names the stage that failed
+        assert "numerical failure: bath coefficients: " in err and message in err
 
     def test_overflowing_bath_quadrature_exits_3(self, tmp_path):
         # the nan [0, w0] part of a lag integral once reached QUADPACK's QAWF
