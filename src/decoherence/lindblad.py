@@ -23,8 +23,8 @@ identity, among the products A rho B otherwise.
 quadratic scattering kernel, or from rho0's moments for a Gaussian rho0 under
 a generator that carries its moment flow, else steps it by the split step,
 the exact propagator of a small generator or `evolve`, classical fixed-step
-4th-order, whose error `convergence_check` estimates by halving dt.  Every stepping
-evolver of the package runs the loop `_march` on the schedule `record_steps`.
+4th-order, whose error `convergence_check` estimates by halving dt.  Each route hands
+over one matrix per entry of `IntegratorConfig.record_times()`; the stepping ones run `_march`.
 """
 
 from __future__ import annotations
@@ -291,23 +291,20 @@ def record_steps(n_steps: int, record_stride: int) -> list[int]:
     return steps + [n_steps] if n_steps % record_stride else steps
 
 
-def _march(state: np.ndarray, step: Callable[[int, np.ndarray], np.ndarray],
-           n_steps: int, record_stride: int) -> Iterator[tuple[int, np.ndarray]]:
-    """The stepping loop: yield (k, state) at every recorded step k.
-
-    step(k, state) advances the state from step k to step k + 1; it must
-    return a new object, since recorded states are kept as yielded.
-    """
-    k = 0
+def _march(state: np.ndarray, step: Callable[[np.ndarray], np.ndarray],
+           n_steps: int, record_stride: int) -> Iterator[np.ndarray]:
+    """The stepping loop: yield the state at every scheduled record, the first as given;
+    step(state) takes one step and returns a new object, as records are kept as yielded."""
+    done = 0
     for target in record_steps(n_steps, record_stride):
-        while k < target:
-            state = step(k, state)
-            k += 1
-        yield k, state
+        for _ in range(target - done):
+            state = step(state)
+        done = target
+        yield state
 
 
 def split_march(gen: LindbladGenerator, rho0: np.ndarray, dt: float, n_steps: int,
-                record_stride: int) -> Iterator[tuple[int, np.ndarray]]:
+                record_stride: int) -> Iterator[np.ndarray]:
     """Strang-split stepping of H = E(k) + V(x) plus a Hermitian elementwise kernel K.
 
     The generator folds the potential into its kernel as -i(V_i - V_j^*).  A
@@ -315,7 +312,7 @@ def split_march(gen: LindbladGenerator, rho0: np.ndarray, dt: float, n_steps: in
     of the generator's momentum kernel M on fft2(rho).  The state stays in
     momentum with half a phase pending, so half steps fuse: a step is one
     ifft2, the factor, one fft2 and the phase.
-    Yields (k, state) at every recorded step, as _march does: rho0, then
+    Yields the state at every scheduled record, as _march does: rho0, then
     exactly Hermitian matrices.  A generator that does not split
     (`LindbladGenerator.splits`) or a non-Hermitian rho0 raises ValueError.
     """
@@ -326,12 +323,12 @@ def split_march(gen: LindbladGenerator, rho0: np.ndarray, dt: float, n_steps: in
         raise ValueError("the split step needs a Hermitian rho0")
     decay = np.exp(dt * (0.0 if gen.kernel is None else gen.kernel))
     if gen.kinetic_kernel is None:
-        yield from _march(rho0, lambda _, r: r * decay, n_steps, record_stride)
+        yield from _march(rho0, lambda r: r * decay, n_steps, record_stride)
         return
 
     phase, half = np.exp(dt * gen.kinetic_kernel), np.exp(0.5 * dt * gen.kinetic_kernel)
 
-    def step(_, s: np.ndarray) -> np.ndarray:
+    def step(s: np.ndarray) -> np.ndarray:
         r = scipy.fft.ifft2(s)
         r *= decay
         s = scipy.fft.fft2(r, overwrite_x=True)
@@ -342,15 +339,20 @@ def split_march(gen: LindbladGenerator, rho0: np.ndarray, dt: float, n_steps: in
         r = scipy.fft.ifft2(s / half)
         return 0.5 * (r + r.conj().T)
 
-    for k, s in _march(scipy.fft.fft2(rho0) * half, step, n_steps, record_stride):
-        # periodic boundaries: packets must stay clear of the grid edges
-        yield k, rho0 if k == 0 else record(s)
+    march = _march(scipy.fft.fft2(rho0) * half, step, n_steps, record_stride)
+    # periodic boundaries: packets must stay clear of the grid edges
+    yield from itertools.chain([rho0], map(record, itertools.islice(march, 1, None)))
 
 
-def characteristic(gen: LindbladGenerator, rho0: np.ndarray
-                   ) -> Callable[[float], np.ndarray] | None:
-    """rho_t straight from rho0 for free motion E = eps a^2 on the signed modes
-    a and the kernel K = -lam (i - j)^2, lam >= 0; None for any other generator.
+def momentum_representation(rho: np.ndarray) -> np.ndarray:
+    """rho in the FFT's momentum modes: F rho F^dag / n, F the DFT with rows e^{-i k x}."""
+    return scipy.fft.fft(scipy.fft.ifft(rho, axis=1), axis=0)
+
+
+def characteristic(gen: LindbladGenerator, rho0: np.ndarray, times: np.ndarray
+                   ) -> Iterator[np.ndarray] | None:
+    """rho0, then rho_t at each later entry of times, straight from rho0 for free motion
+    E = eps a^2 on the signed modes a and the kernel K = -lam (i - j)^2, lam >= 0, or None.
 
     With c the Fourier coefficients of rho0, l = a - b and s = i - j, both
     without wrap: rho_t[i, i - s] = sum_l g e^{2 pi i l i / n} sum_b c_{b+l,b}
@@ -366,7 +368,7 @@ def characteristic(gen: LindbladGenerator, rho0: np.ndarray
     n, k, a = gen.dim, gen.kernel, np.fft.fftfreq(gen.dim, 1.0 / gen.dim)  # a in FFT order
     rows, cols = np.indices((n, n))
     eps, lam = e.real[1], -k.real[1, 0]
-    c = scipy.fft.fft(scipy.fft.ifft(rho0, axis=1), axis=0)  # c_ab / n
+    c = momentum_representation(rho0)  # c_ab / n
     # (departure, scale): E and K off their forms, rho0's edges in x and in k
     off = [(e - eps * a ** 2, e), (k + lam * (rows - cols) ** 2, k)] + [
         (m[i], m) for m in (rho0, np.fft.fftshift(c)) for i in (np.s_[[0, -1]], np.s_[:, [0, -1]])]
@@ -387,7 +389,7 @@ def characteristic(gen: LindbladGenerator, rho0: np.ndarray
         np.conjugate(rho, out=rho, where=cols > rows)
         np.fill_diagonal(rho, rho.diagonal().real)
         return rho
-    return record
+    return itertools.chain([rho0], map(record, times[1:]))
 
 
 def moment_flow(a: np.ndarray, b: np.ndarray, m0: np.ndarray,
@@ -406,8 +408,7 @@ def grid_moments(rho: np.ndarray, x: np.ndarray) -> np.ndarray:
     grid positions x, with p the spectral momentum of the grid."""
     n = len(x)
     k = 2.0 * np.pi * np.fft.fftfreq(n, (x[-1] - x[0]) / (n - 1))
-    pos = rho.diagonal().real
-    mom = scipy.fft.fft(scipy.fft.ifft(rho, axis=1), axis=0).diagonal().real
+    pos, mom = rho.diagonal().real, momentum_representation(rho).diagonal().real
     p_rho = scipy.fft.ifft(k[:, None] * scipy.fft.fft(rho, axis=0), axis=0)
     return np.array([x @ pos, k @ mom, x ** 2 @ pos, 2.0 * (x @ p_rho.diagonal()).real,
                      k ** 2 @ mom])
@@ -485,8 +486,8 @@ class IntegratorConfig:
         return int(round(self.t_final / self.dt))
 
     def record_times(self) -> np.ndarray:
-        return np.array(record_steps(self.n_steps, self.record_stride),
-                        dtype=float) * self.dt
+        """The time of each record: the one place a step index becomes a time."""
+        return np.array(record_steps(self.n_steps, self.record_stride), dtype=float) * self.dt
 
 
 @dataclass
@@ -549,15 +550,15 @@ def _validated(rho: np.ndarray, t: float, hint: str, certified: bool) -> Density
 
 
 def _record(gen: LindbladGenerator, rho0: DensityMatrix, cfg: IntegratorConfig,
-            evolver: str, march: Iterator[tuple[int, np.ndarray]],
+            evolver: str, records: Iterator[np.ndarray],
             certified: bool) -> EvolutionResult:
-    """The records of march after step 0, which is rho0, each validated once."""
+    """One matrix per cfg.record_times(): the first stands for rho0, the rest are validated."""
     if rho0.dim != gen.dim:
         raise ValueError("state dimension does not match the generator")
-    hint = _positivity_hint(gen, cfg.dt, evolver)
-    records = [_validated(rho, k * cfg.dt, hint, certified)
-               for k, rho in itertools.islice(march, 1, None)]
-    return EvolutionResult(cfg.record_times(), [rho0] + records, evolver)
+    hint, times = _positivity_hint(gen, cfg.dt, evolver), cfg.record_times()
+    states = [rho0] + [_validated(rho, t, hint, certified) for t, rho in
+                       zip(times[1:], itertools.islice(records, 1, None), strict=True)]
+    return EvolutionResult(times, states, evolver)
 
 
 def evolve(gen: LindbladGenerator, rho0: DensityMatrix,
@@ -568,7 +569,7 @@ def evolve(gen: LindbladGenerator, rho0: DensityMatrix,
     eigendecomposition for positivity and the clamp of round-off negatives.
     Violations raise PositivityLossError.  Tests check `propagate` against it.
     """
-    march = _march(np.array(rho0.matrix), lambda _, r: _rk4_step(gen, r, cfg.dt),
+    march = _march(np.array(rho0.matrix), lambda r: _rk4_step(gen, r, cfg.dt),
                    cfg.n_steps, cfg.record_stride)
     return _record(gen, rho0, cfg, "rk4", march, certified=False)
 
@@ -593,14 +594,10 @@ def propagate(gen: LindbladGenerator, rho0: DensityMatrix,
     semidefinite Schur factor exp(K dt) or by check_complete_positivity(P);
     certified records have only their trace checked.
     """
-    steps = record_steps(cfg.n_steps, cfg.record_stride)
-    record = characteristic(gen, rho0.matrix)
-    if record is not None:
-        march = ((k, record(k * cfg.dt)) for k in steps)
-        return _record(gen, rho0, cfg, "characteristic", march, True)
-    records = gaussian(gen, rho0.matrix, cfg.record_times())
-    if records is not None:
-        return _record(gen, rho0, cfg, "gaussian", zip(steps, records), True)
+    for evolver, closed_form in (("characteristic", characteristic), ("gaussian", gaussian)):
+        records = closed_form(gen, rho0.matrix, cfg.record_times())
+        if records is not None:
+            return _record(gen, rho0, cfg, evolver, records, True)
     if gen.splits:
         f = None if gen.kernel is None else np.exp(gen.kernel * cfg.dt)
         cp = f is None or np.linalg.eigvalsh(f)[0] >= -CP_EIGENVALUE_TOL
@@ -610,7 +607,7 @@ def propagate(gen: LindbladGenerator, rho0: DensityMatrix,
         return evolve(gen, rho0, cfg)
     from scipy.linalg import expm
     p = expm(gen.superoperator() * cfg.dt)
-    march = _march(rho0.matrix, lambda _, r: (p @ r.reshape(-1)).reshape(r.shape),
+    march = _march(rho0.matrix, lambda r: (p @ r.reshape(-1)).reshape(r.shape),
                    cfg.n_steps, cfg.record_stride)
     return _record(gen, rho0, cfg, "exact", march, check_complete_positivity(p)["cp"])
 

@@ -15,7 +15,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .core import DensityMatrix, Grid1D, Operator, StateVector, partial_trace, write_csv
-from .lindblad import IntegratorConfig, LindbladGenerator, evolve
+from .lindblad import IntegratorConfig, LindbladGenerator, evolve, momentum_representation
 
 #: Eigenvalues below this floor are treated as absent from the mixture.
 ENTROPY_EIGENVALUE_FLOOR = 1e-12
@@ -138,11 +138,8 @@ def _momentum_marginal_error(field: WignerField, m: np.ndarray,
     The e^{+ipy} kernel convention makes the marginal at p equal the
     distribution of wavenumber k = -p, so the reference is mirrored.
     """
-    n = grid.n_points
-    # diag(F m F^dag) with F the DFT (rows e^{-i k x}); ifft carries a 1/n
-    mom = np.real(np.diag(np.fft.fft(np.fft.ifft(m, axis=1), axis=0))) \
-        * n * grid.dx / (2.0 * np.pi)
-    k = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.dx)
+    mom = momentum_representation(m).diagonal().real * grid.n_points * grid.dx / (2.0 * np.pi)
+    k = grid.k
     order = np.argsort(k)
     k_sorted, mom_sorted = k[order], mom[order]
     # W marginal as a function of k = -p (ascending)

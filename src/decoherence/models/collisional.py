@@ -34,7 +34,7 @@ import scipy.integrate
 
 from ..constants import thermal_de_broglie_wavelength
 from ..core import Grid1D, StateVector
-from ..lindblad import LindbladGenerator, split_march
+from ..lindblad import IntegratorConfig, LindbladGenerator, split_march
 
 
 @dataclass(frozen=True)
@@ -85,10 +85,10 @@ def collisional_evolve_split_step(params: CollisionalParams, grid: Grid1D,
     phases in the momentum representation, the exact factor exp(K dt) in
     the position representation.  Returns (times, raw state matrices).
     """
+    cfg = IntegratorConfig(dt, n_steps * dt, record_stride)
     rho = np.outer(psi0.amplitudes, psi0.amplitudes.conj())
     gen = collisional_generator(params, grid, include_free_dynamics)
-    steps, records = zip(*split_march(gen, rho, dt, n_steps, record_stride))
-    return np.array(steps, dtype=float) * dt, list(records)
+    return cfg.record_times(), list(split_march(gen, rho, dt, cfg.n_steps, record_stride))
 
 
 def decoherence_dissipation_ratio(mass_kg: float, temperature_K: float,

@@ -222,7 +222,7 @@ GRID_SCHEMA = {
 }
 
 TRAJECTORIES_SCHEMA = {
-    "n_trajectories": ParamSpec("int", required=True, minimum=1),
+    "n_trajectories": ParamSpec("int", required=True, minimum=2),
     "seed": ParamSpec("int", required=False, minimum=0),
 }
 
@@ -660,7 +660,10 @@ def _run_master_equation(cfg: ScenarioConfig, summary: dict, out_dir: Path) -> t
     except (ArithmeticError, QuadratureError) as exc:
         raise NumericalFailure(f"bath coefficients: {exc}") from exc
     rho0 = psi0.density()
-    res = propagate(gen, rho0, integ)
+    try:
+        res = propagate(gen, rho0, integ)
+    except (ArithmeticError, ValueError, RuntimeError) as exc:
+        raise NumericalFailure(f"propagate: {exc}") from exc
     times, mats = res.times, res.matrices
     summary["model_info"]["evolver"] = res.evolver
     if cfg.model == "spin_boson":
@@ -704,7 +707,10 @@ def _run_master_equation(cfg: ScenarioConfig, summary: dict, out_dir: Path) -> t
         seed = tj.get("seed") if tj.get("seed") is not None else cfg.seed
         tcfg = TrajectoryConfig(tj["n_trajectories"], integ.dt, integ.t_final, seed,
                                 integ.record_stride)
-        stats = ensemble_statistics(unravel(gen, rho0, tcfg), SIGMA_X)
+        try:
+            stats = ensemble_statistics(unravel(gen, rho0, tcfg), SIGMA_X)
+        except (ArithmeticError, ValueError, RuntimeError) as exc:
+            raise NumericalFailure(f"trajectories: {exc}") from exc
         path = out_dir / f"{cfg.name}_trajectories.csv"
         _write_csv(path, ["t", "mean_sx", "stderr_sx"],
                    [stats["times"], stats["mean"], stats["stderr"]])

@@ -125,25 +125,24 @@ def unravel(gen: LindbladGenerator, rho0: DensityMatrix,
     n, dim = cfg.n_trajectories, gen.dim
     batch0 = np.broadcast_to(rho0.matrix, (n, dim, dim)).copy()
     states = np.empty((n, len(times), dim, dim), dtype=complex)
-    dw = _gaussian_increments(cfg.seed, n, n_steps, len(noise_ops), cfg.dt)
+    increments = iter(_gaussian_increments(cfg.seed, n, n_steps, len(noise_ops), cfg.dt))
 
-    def euler_maruyama(k: int, rho: np.ndarray) -> np.ndarray:
+    def euler_maruyama(rho: np.ndarray) -> np.ndarray:
         new = rho + cfg.dt * gen.apply(rho)
-        for mu, (sr, measurement) in enumerate(noise_ops):
+        for (sr, measurement), dw in zip(noise_ops, next(increments)):
             w = measurement.apply(rho)
             w -= np.einsum("nii->n", w)[:, None, None] * rho
-            new += sr * dw[k, mu][:, None, None] * w
+            new += sr * dw[:, None, None] * w
         return new
 
-    for pos, (k, rho) in enumerate(_march(batch0, euler_maruyama, n_steps,
-                                          cfg.record_stride)):
+    for pos, rho in enumerate(_march(batch0, euler_maruyama, n_steps, cfg.record_stride)):
         tr_err = np.max(np.abs(np.einsum("nii->n", rho) - 1.0))
         # the update is traceless by construction, so a drifting or
         # non-finite trace means the state itself blew up
         if not np.isfinite(tr_err) or tr_err > TRACE_DRIFT_LIMIT \
                 or not np.all(np.isfinite(rho)):
             raise StepInstabilityError(
-                f"trace drifted by {tr_err:.2e} at t={k * cfg.dt:.6g}; reduce dt")
+                f"trace drifted by {tr_err:.2e} at t={times[pos]:.6g}; reduce dt")
         states[:, pos] = rho
 
     # fixed reduction order: ascending trajectory index.  Euler-Maruyama

@@ -3,6 +3,7 @@ schedule and one validation pass for evolve, the split step and unravel,
 and the one chooser, propagate, that picks the step from the generator."""
 
 import csv
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
@@ -14,7 +15,8 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 from scipy.sparse.linalg import expm_multiply
 
-from decoherence.core import KET_PLUS, DensityMatrix, Grid1D, GridOperator, Operator, SIGMA_Z
+from decoherence.core import (KET_PLUS, DensityMatrix, Grid1D, GridOperator, Operator, SIGMA_X,
+                              SIGMA_Z)
 from decoherence.lindblad import (
     BornMarkovCoefficients,
     ExtraTerm,
@@ -178,10 +180,12 @@ def complex_split_march(gen, rho0, dt, n_steps, record_stride):
     half = np.exp(-0.5j * dt * e)[:, None] * np.exp(0.5j * dt * e_col.conj())
     decay = 1.0 if gen.kernel is None else np.exp(gen.kernel * dt)
     march = _march(scipy.fft.fft2(rho0) * half,
-                   lambda _, s: scipy.fft.fft2(scipy.fft.ifft2(s) * decay) * phase,
+                   lambda s: scipy.fft.fft2(scipy.fft.ifft2(s) * decay) * phase,
                    n_steps, record_stride)
-    for k, s in march:
-        yield k, rho0 if k == 0 else scipy.fft.ifft2(s / half)
+    next(march)
+    yield rho0
+    for s in march:
+        yield scipy.fft.ifft2(s / half)
 
 
 class TestSplitMarch:
@@ -236,8 +240,8 @@ class TestSplitMarch:
         rho0 = random_density(rng, n).matrix
         got = list(split_march(gen, rho0, 0.05, 12, 5))
         want = list(complex_split_march(gen, rho0, 0.05, 12, 5))
-        assert [k for k, _ in got] == [k for k, _ in want] == [0, 5, 10, 12]
-        for (_, r), (_, w) in zip(got, want):
+        assert len(got) == len(want) == len(record_steps(12, 5))  # steps 0, 5, 10, 12
+        for r, w in zip(got, want):
             assert_allclose(r, w, rtol=0, atol=1e-13)
             assert np.array_equal(r, r.conj().T)
 
@@ -264,11 +268,10 @@ class TestSplitMarch:
         ham = Operator(np.diag([0.3, -1.2, 2.0, 0.5]))
         gen = LindbladGenerator(ham, [(0.4, Operator(np.diag([1.0, 0.0, -1.0, 2.0])))])
         rho0 = random_density(rng, 4).matrix
-        steps, mats = zip(*split_march(gen, rho0, 0.01, 50, 10))
+        mats = split_march(gen, rho0, 0.01, 50, 10)
         s = gen.superoperator()
-        assert steps == (0, 10, 20, 30, 40, 50)
-        for k, got in zip(steps, mats):
-            want = (scipy.linalg.expm(s * k * 0.01) @ rho0.reshape(-1)).reshape(4, 4)
+        for t, got in zip(IntegratorConfig(0.01, 0.5, 10).record_times(), mats, strict=True):
+            want = (scipy.linalg.expm(s * t) @ rho0.reshape(-1)).reshape(4, 4)
             assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_potential_matches_rk4(self):
@@ -279,12 +282,11 @@ class TestSplitMarch:
         h_grid = GridOperator(grid.k ** 2 / 2.0, 0.5 * grid.x ** 2)
         x = grid.position_operator()
         rho0 = grid.two_packet_cat(1.0, 0.5).density()
-        steps, mats = zip(*split_march(LindbladGenerator(h_grid, [(0.4, x)]),
-                                       rho0.matrix, 1e-3, 300, 100))
+        mats = split_march(LindbladGenerator(h_grid, [(0.4, x)]), rho0.matrix, 1e-3, 300, 100)
         res = evolve(LindbladGenerator(h, [(0.4, x)]), rho0,
                      IntegratorConfig(dt=1e-3, t_final=0.3, record_stride=100))
-        assert steps == (0, 100, 200, 300)
-        for got, want in zip(mats, res.states):
+        assert len(res.states) == 4
+        for got, want in zip(mats, res.states, strict=True):
             assert np.max(np.abs(got - want.matrix)) < 5e-6
 
 
@@ -328,6 +330,33 @@ class TestRecordSchedule:
             self.DT, 33, record_stride=self.STRIDE)
         assert np.array_equal(times, self.WANT)
         assert len(mats) == self.WANT.size
+
+    def test_march_yields_one_state_per_record(self):
+        # the state counts the steps taken before each record
+        got = list(_march(0, lambda count: count + 1, 33, self.STRIDE))
+        assert got == [0, 7, 14, 21, 28, 33]
+
+    def test_split_march_yields_one_matrix_per_record(self):
+        # the momentum-space step and the kernel-only step
+        grid = Grid1D(16, -2.0, 2.0)
+        for gen, rho0 in ((collisional_generator(CollisionalParams(Lambda=0.5), grid),
+                           grid.gaussian_packet(0.0, 0.6).density().matrix),
+                          (pure_dephasing_qubit(0.5), KET_PLUS.density().matrix)):
+            mats = list(split_march(gen, rho0, self.DT, 33, self.STRIDE))
+            assert len(mats) == self.WANT.size and mats[0] is rho0
+
+    @pytest.mark.parametrize("evolver", ["split_step", "exact", "rk4"])
+    def test_a_failing_record_names_its_time(self, evolver):
+        # d rho / dt = -c rho drifts the trace by c t: 7e-8 at the first
+        # record, t = 0.07, within TRACE_DRIFT_TOL, and 1.4e-7 at the second
+        one = Operator.identity(2)
+        leak = [ExtraTerm("sandwich", one, one, -1e-6)]
+        gen = LindbladGenerator(None if evolver == "split_step" else SIGMA_X,
+                                extra_terms=leak)
+        assert gen.splits == (evolver == "split_step")
+        run = evolve if evolver == "rk4" else propagate
+        with pytest.raises(PositivityLossError, match=r"trace drifted by .* at t=0\.14;"):
+            run(gen, KET_PLUS.density(), IntegratorConfig(self.DT, self.T_FINAL, self.STRIDE))
 
     @pytest.mark.parametrize("model, params, state", [
         ("spin_spin", "n_spins = 4\ncoupling_scale = 1.0",
@@ -490,6 +519,18 @@ class TestRecordContract:
         for state in states[1:]:
             assert (state.eigenvalues is None) == certified
 
+    @pytest.mark.parametrize("evolver", ["characteristic", "gaussian", "split_step", "exact",
+                                         "rk4"])
+    def test_every_route_records_on_the_schedule(self, rng, evolver):
+        gen, rho0, cfg = self.routes(rng)[evolver]
+        # a stride that does not divide the step count: the last record is off it
+        cfg = dataclasses.replace(cfg, record_stride=3)
+        assert cfg.n_steps % 3
+        res = propagate(gen, rho0, cfg)
+        assert res.evolver == evolver
+        assert np.array_equal(res.times, cfg.record_times())
+        assert len(res.states) == len(res.times)
+
     @pytest.mark.parametrize("model, params, state", [
         ("spin_spin", "n_spins = 4\ncoupling_scale = 1.0",
          "kind = qubit_bloch\ntheta = 1.2\nphi = 0.3"),
@@ -564,7 +605,7 @@ class TestCharacteristic:
         for refine, tol in ((1, 1e-10), (10, 1e-11)):
             march = split_march(gen, rho0.matrix, cfg.dt / refine, refine * cfg.n_steps,
                                 refine * cfg.record_stride)
-            for got, (_, want) in zip(res.matrices, march, strict=True):
+            for got, want in zip(res.matrices, march, strict=True):
                 assert np.max(np.abs(got - want)) < tol
 
     @pytest.mark.parametrize("case", ["position_edge", "momentum_edge", "short_wavelength",
@@ -586,9 +627,10 @@ class TestCharacteristic:
         else:
             kernel = -kernel
         gen = LindbladGenerator(h, kernel=kernel)
-        assert gen.splits and characteristic(gen, rho0.matrix) is None
+        cfg = IntegratorConfig(1e-2, 0.02)
+        assert gen.splits and characteristic(gen, rho0.matrix, cfg.record_times()) is None
         if case != "anti_scattering":  # which loses positivity at once
-            assert propagate(gen, rho0, IntegratorConfig(1e-2, 0.02)).evolver == "split_step"
+            assert propagate(gen, rho0, cfg).evolver == "split_step"
 
 
 class TestPropagate:

@@ -705,6 +705,41 @@ x_max = 8.0
         err = capsys.readouterr().err
         assert "reduce dt" in err and "dt * max|K| = 25.6" in err
         assert "not completely positive" not in err
+        # the message names the stage that failed
+        assert err.startswith("numerical failure: propagate: density matrix has negative")
+
+    def test_trajectory_failure_names_its_stage(self, tmp_path, capsys):
+        # Euler drift under H alone leaves the ensemble mean off the positive
+        # cone; the master equation itself runs
+        path = tmp_path / "unitary.cfg"
+        path.write_text("""
+[scenario]
+name = unitary
+model = custom_lindblad
+
+[params]
+dim = 2
+hamiltonian = 1, 4, 4, -1
+
+[initial_state]
+kind = qubit_bloch
+theta = 1.0
+
+[integrator]
+dt = 0.0167
+t_final = 1.002
+
+[outputs]
+quantities = coherence_magnitude
+
+[trajectories]
+n_trajectories = 20
+""")
+        assert cli_main(["run", str(path), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: trajectories: ensemble mean: density matrix "
+                              "has negative eigenvalue")
+        assert "at t=0.3006; reduce dt" in err
 
     @pytest.mark.parametrize("out", ["blocker", "blocker/results"],
                              ids=["regular_file", "under_regular_file"])
@@ -755,12 +790,15 @@ x_max = 8.0
         ((SCENARIO_DIR / "cavity_cat.cfg").read_text()
          .replace("alpha = 1.8708286933869707", "alpha = 1e200"),
          "catness 4 |alpha|^2 sin^2 chi is not finite"),
+        # one trajectory has no ensemble statistics
+        (CUSTOM_TRAJECTORIES.replace("n_trajectories = 16", "n_trajectories = 1"),
+         "key 'n_trajectories': must be >= 2"),
     ], ids=["non_hermitian_h", "spin_boson_trajectories",
             "non_hermitian_l_trajectories", "t_final_below_dt",
             "wigner_time_past_t_final", "t_final_not_whole_steps",
             "packet_past_grid_edge", "packet_past_grid_momentum",
             "packet_past_wigner_range", "non_finite_float", "non_finite_list_entry",
-            "catness_past_float_range"])
+            "catness_past_float_range", "one_trajectory"])
     def test_input_errors_exit_2(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.cfg"
         path.write_text(text)
