@@ -72,9 +72,6 @@ def main(argv: list[str] | None = None) -> int:
         cfg.seed = args.seed
     try:
         summary = run_scenario(cfg, out_dir=args.out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

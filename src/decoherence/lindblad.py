@@ -41,7 +41,7 @@ import scipy.integrate
 from scipy.integrate import quad
 
 from .channels import CP_EIGENVALUE_TOL, check_complete_positivity
-from .core import DensityMatrix, GridOperator, Operator
+from .core import DensityMatrix, Grid1D, GridOperator, Operator
 
 TRACE_DRIFT_TOL = 1e-7
 POSITIVITY_DRIFT_TOL = 1e-7
@@ -120,15 +120,15 @@ class LindbladGenerator:
     stack [M, C, ...] o fft2(rho), and the products.  A model whose kernel
     has no small operator form passes it as `kernel`; it adds to the
     folded one.  A quadratic generator on a grid passes its moment flow as
-    `moments`, (A, b, x): d m / dt = A m + b for m = (<x>, <p>, <x^2>,
-    <xp + px>, <p^2>) on the grid positions x, which `gaussian` reads.
+    `moments`, (A, b, grid): d m / dt = A m + b for m = (<x>, <p>, <x^2>,
+    <xp + px>, <p^2>) on the Grid1D grid, which `gaussian` reads.
     """
 
     def __init__(self, hamiltonian: Operator | None,
                  lindblad_ops: Sequence[tuple[float, Operator]] = (),
                  extra_terms: Sequence[ExtraTerm] = (),
                  kernel: np.ndarray | None = None,
-                 moments: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None):
+                 moments: tuple[np.ndarray, np.ndarray, Grid1D] | None = None):
         dims = set()
         if hamiltonian is not None:
             dims.add(hamiltonian.dim)
@@ -152,7 +152,7 @@ class LindbladGenerator:
         self.extra_terms = tuple(extra_terms)
         #: part of the kernel was passed in, with no operators behind it
         self.bare_kernel = kernel is not None
-        #: (A, b, x) of the moment flow, or None
+        #: (A, b, grid) of the moment flow, or None
         self.moments = moments
         one = np.ones(self.dim)
         pieces = []  # (c, A, B) of each c A rho B
@@ -403,11 +403,10 @@ def moment_flow(a: np.ndarray, b: np.ndarray, m0: np.ndarray,
     return np.array([(expm(flow * t) @ m0)[:-1] for t in times])
 
 
-def grid_moments(rho: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Tr(O rho) for O = x, p, x^2, xp + px, p^2 of a Hermitian rho on the
-    grid positions x, with p the spectral momentum of the grid."""
-    n = len(x)
-    k = 2.0 * np.pi * np.fft.fftfreq(n, (x[-1] - x[0]) / (n - 1))
+def grid_moments(rho: np.ndarray, grid: Grid1D) -> np.ndarray:
+    """Tr(O rho) for O = x, p, x^2, xp + px, p^2 of a Hermitian rho on a
+    grid, with p the grid's spectral momentum."""
+    x, k = grid.x, grid.k
     pos, mom = rho.diagonal().real, momentum_representation(rho).diagonal().real
     p_rho = scipy.fft.ifft(k[:, None] * scipy.fft.fft(rho, axis=0), axis=0)
     return np.array([x @ pos, k @ mom, x ** 2 @ pos, 2.0 * (x @ p_rho.diagonal()).real,
@@ -417,7 +416,7 @@ def grid_moments(rho: np.ndarray, x: np.ndarray) -> np.ndarray:
 def gaussian(gen: LindbladGenerator, rho0: np.ndarray, times: np.ndarray
              ) -> Iterator[np.ndarray] | None:
     """The records at times of a Gaussian rho0 under a generator that carries
-    its moment flow (A, b, x), from rho0's moments; None for any other case.
+    its moment flow (A, b, grid), from rho0's moments; None for any other case.
 
     A quadratic master equation keeps a Gaussian state Gaussian, its mean
     (X, P) and covariance S moving by the flow of m = (<x>, <p>, <x^2>,
@@ -433,8 +432,8 @@ def gaussian(gen: LindbladGenerator, rho0: np.ndarray, times: np.ndarray
     """
     if gen.moments is None or len(rho0) != gen.dim:
         return None
-    a, b, x = gen.moments
-    m = moment_flow(a, b, grid_moments(rho0, x), times)
+    a, b, grid = gen.moments
+    m = moment_flow(a, b, grid_moments(rho0, grid), times)
     mean_x, mean_p = m[:, 0], m[:, 1]
     s_xx, s_pp = m[:, 2] - mean_x ** 2, m[:, 4] - mean_p ** 2
     s_xp = 0.5 * m[:, 3] - mean_x * mean_p
@@ -442,7 +441,7 @@ def gaussian(gen: LindbladGenerator, rho0: np.ndarray, times: np.ndarray
     if not (np.all(s_xx > 0.0) and np.all(s_pp > 0.0) and np.all(det[1:] >= 0.25)):
         return None
     # squared distance of the mean to the nearer edge, in x and in k, over the variance
-    k_edge = np.pi * (len(x) - 1) / (x[-1] - x[0])
+    x, k_edge = grid.x, np.pi / grid.dx
     gap_x = np.maximum(np.minimum(mean_x - x[0], x[-1] - mean_x), 0.0) ** 2 / s_xx
     gap_k = np.maximum(k_edge - np.abs(mean_p), 0.0) ** 2 / s_pp
     if not np.all(np.exp(-0.5 * np.minimum(gap_x, gap_k)) <= GAUSSIAN_EDGE_TOL):

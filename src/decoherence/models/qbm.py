@@ -132,7 +132,7 @@ def _oscillator_generator(mass: float, omega_sq: float, gamma: float, D: float,
         extra.append(ExtraTerm("double_comm", x, p, -f, label="anomalous"))
     a, b = qbm_moment_matrix(mass, omega_sq, gamma, D, f)
     return LindbladGenerator(_hamiltonian(grid, mass, omega_sq), [(2.0 * D, x)],
-                             extra_terms=extra, moments=(a, b, grid.x))
+                             extra_terms=extra, moments=(a, b, grid))
 
 
 # ---------------------------------------------------------------------------

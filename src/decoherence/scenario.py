@@ -14,6 +14,7 @@ import configparser
 import io
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,13 +23,7 @@ import numpy as np
 from . import measures
 from .core import SIGMA_X, DensityMatrix, Grid1D, Operator, bloch_state
 from .core import write_csv as _write_csv
-from .lindblad import (
-    IntegratorConfig,
-    LindbladGenerator,
-    PositivityLossError,
-    QuadratureError,
-    propagate,
-)
+from .lindblad import IntegratorConfig, LindbladGenerator, propagate
 from .models import (
     CavityCatParams,
     CollisionalParams,
@@ -40,6 +35,7 @@ from .models import (
     collisional_generator,
     qbm_generator,
     spin_spin_coherence_factor,
+    spin_spin_gaussian_rate,
 )
 from .models.spin_boson import SpinBosonParams, ohmic_coupling, spin_boson_born_markov
 from .trajectories import HERMITIAN_TOL, TrajectoryConfig, ensemble_statistics, unravel
@@ -59,7 +55,20 @@ class ConfigError(ValueError):
 
 
 class NumericalFailure(RuntimeError):
-    """Model construction or integration failed numerically."""
+    """A stage of a run failed numerically; the message starts with its name."""
+
+
+@contextmanager
+def _stage(name: str):
+    """A stage of a run: an ArithmeticError, ValueError or RuntimeError raised
+    inside becomes NumericalFailure("name: ..."), and a NumericalFailure of an
+    inner stage passes through with that stage's name."""
+    try:
+        yield
+    except NumericalFailure:
+        raise
+    except (ArithmeticError, ValueError, RuntimeError) as exc:
+        raise NumericalFailure(f"{name}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -465,15 +474,11 @@ def serialize_config(cfg: ScenarioConfig) -> str:
     cp = configparser.ConfigParser(interpolation=None)
     cp["scenario"] = {"name": cfg.name, "model": cfg.model,
                       "seed": str(cfg.seed)}
-    if cfg.params:
-        cp["params"] = {k: _format_value(v) for k, v in cfg.params.items()}
-    cp["initial_state"] = {k: _format_value(v) for k, v in cfg.initial_state.items()}
-    cp["integrator"] = {k: _format_value(v) for k, v in cfg.integrator.items()}
-    cp["outputs"] = {k: _format_value(v) for k, v in cfg.outputs.items()}
-    if cfg.grid is not None:
-        cp["grid"] = {k: _format_value(v) for k, v in cfg.grid.items()}
-    if cfg.trajectories is not None:
-        cp["trajectories"] = {k: _format_value(v) for k, v in cfg.trajectories.items()}
+    for sec, entries in [("params", cfg.params), ("initial_state", cfg.initial_state),
+                         ("integrator", cfg.integrator), ("outputs", cfg.outputs),
+                         ("grid", cfg.grid), ("trajectories", cfg.trajectories)]:
+        if entries:  # an empty [params] and the absent optional sections stay out
+            cp[sec] = {k: _format_value(v) for k, v in entries.items()}
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()
@@ -551,19 +556,15 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path = ".") -> dict:
         "model_info": {},
     }
 
-    try:
+    with _stage(cfg.model):
         if cfg.model == "cavity_cat":
             times, records, columns = _run_cavity(cfg, summary)
         elif cfg.model == "spin_spin":
             times, records, columns = _run_spin_spin(cfg, summary)
         else:
             times, records, columns = _run_master_equation(cfg, summary, out_dir)
+    with _stage("tabulate"):
         series = {**_tabulate(records, quantities), **columns}
-    except (ConfigError, NumericalFailure):
-        raise
-    except (PositivityLossError, QuadratureError, ArithmeticError,
-            np.linalg.LinAlgError, ValueError, RuntimeError) as exc:
-        raise NumericalFailure(str(exc)) from exc
 
     # requested quantities first, then derived companions (rho01 parts etc.)
     table_quantities = [q for q in quantities if q in series]
@@ -576,14 +577,26 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path = ".") -> dict:
 
     fit_kind = cfg.outputs["fit"]
     if fit_kind != "none" and "coherence_magnitude" in series:
-        summary["fits"]["coherence_magnitude"] = fit_decay(
-            np.asarray(times), np.asarray(series["coherence_magnitude"]), fit_kind)
+        with _stage("fit"):
+            summary["fits"]["coherence_magnitude"] = fit_decay(
+                np.asarray(times), np.asarray(series["coherence_magnitude"]), fit_kind)
 
+    with _stage("summary"):
+        _require_finite(summary)
     summary_path = out_dir / f"{name}_summary.json"
     with open(summary_path, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return summary
+
+
+def _require_finite(node, key: str = "") -> None:
+    """Raise ValueError at a nan or inf in a summary, naming its keys joined by dots."""
+    if isinstance(node, (dict, list)):
+        for k, v in node.items() if isinstance(node, dict) else enumerate(node):
+            _require_finite(v, f"{key}.{k}")
+    elif isinstance(node, float) and not math.isfinite(node):
+        raise ValueError(f"{key[1:]} = {node} is not finite")
 
 
 def _generator(cfg: ScenarioConfig, grid: Grid1D | None) -> LindbladGenerator:
@@ -646,24 +659,19 @@ def _run_master_equation(cfg: ScenarioConfig, summary: dict, out_dir: Path) -> t
     integ = IntegratorConfig(**cfg.integrator)
     quantities = cfg.outputs["quantities"]
     st = cfg.initial_state
-    grid = None
-    if cfg.grid is not None:
-        grid = Grid1D(cfg.grid["n_points"], cfg.grid["x_min"], cfg.grid["x_max"])
-        psi0 = (grid.gaussian_packet(st["x0"], st["sigma"], st["k0"])
-                if st["kind"] == "gaussian_packet"
-                else grid.two_packet_cat(st["x0"], st["sigma"]))
-    else:
-        psi0 = bloch_state(st["theta"], st["phi"])
-
-    try:
+    with _stage("initial state"):
+        grid = Grid1D(**cfg.grid) if cfg.grid is not None else None
+        if grid is None:
+            psi0 = bloch_state(st["theta"], st["phi"])
+        elif st["kind"] == "gaussian_packet":
+            psi0 = grid.gaussian_packet(st["x0"], st["sigma"], st["k0"])
+        else:
+            psi0 = grid.two_packet_cat(st["x0"], st["sigma"])
+        rho0 = psi0.density()
+    with _stage("bath coefficients"):
         gen = _generator(cfg, grid)
-    except (ArithmeticError, QuadratureError) as exc:
-        raise NumericalFailure(f"bath coefficients: {exc}") from exc
-    rho0 = psi0.density()
-    try:
+    with _stage("propagate"):
         res = propagate(gen, rho0, integ)
-    except (ArithmeticError, ValueError, RuntimeError) as exc:
-        raise NumericalFailure(f"propagate: {exc}") from exc
     times, mats = res.times, res.matrices
     summary["model_info"]["evolver"] = res.evolver
     if cfg.model == "spin_boson":
@@ -693,10 +701,8 @@ def _run_master_equation(cfg: ScenarioConfig, summary: dict, out_dir: Path) -> t
         files = []
         for k, target in enumerate(snap_times):
             idx = int(np.argmin(np.abs(times - target)))
-            try:
+            with _stage(f"Wigner at t={times[idx]:.6g}"):
                 field = measures.wigner(mats[idx], grid)
-            except ValueError as exc:
-                raise ValueError(f"{exc} at t={times[idx]:.6g}") from exc
             path = out_dir / f"{cfg.name}_wigner_t{k}.csv"
             field.to_csv(path)
             files.append({"file": path.name, "time": float(times[idx])})
@@ -707,10 +713,8 @@ def _run_master_equation(cfg: ScenarioConfig, summary: dict, out_dir: Path) -> t
         seed = tj.get("seed") if tj.get("seed") is not None else cfg.seed
         tcfg = TrajectoryConfig(tj["n_trajectories"], integ.dt, integ.t_final, seed,
                                 integ.record_stride)
-        try:
+        with _stage("trajectories"):
             stats = ensemble_statistics(unravel(gen, rho0, tcfg), SIGMA_X)
-        except (ArithmeticError, ValueError, RuntimeError) as exc:
-            raise NumericalFailure(f"trajectories: {exc}") from exc
         path = out_dir / f"{cfg.name}_trajectories.csv"
         _write_csv(path, ["t", "mean_sx", "stderr_sx"],
                    [stats["times"], stats["mean"], stats["stderr"]])
@@ -724,16 +728,15 @@ def _run_spin_spin(cfg: ScenarioConfig, summary: dict) -> tuple:
     p = cfg.params
     st = cfg.initial_state
     rng = np.random.default_rng(cfg.seed)
-    couplings = rng.uniform(0.0, p["coupling_scale"], size=p["n_spins"])
+    bath = SpinSpinParams.plus_states(rng.uniform(0.0, p["coupling_scale"], size=p["n_spins"]))
     times = IntegratorConfig(**cfg.integrator).record_times()
-    z = spin_spin_coherence_factor(SpinSpinParams.plus_states(couplings), times)
+    z = spin_spin_coherence_factor(bath, times)
     a0, a1 = bloch_state(st["theta"], st["phi"]).amplitudes
     rho01 = a0 * np.conj(a1) * z
     series = {}
     if "coherence_magnitude" in cfg.outputs["quantities"]:
         series["coherence_magnitude"] = np.abs(rho01)
-    summary["model_info"]["gaussian_rate_estimate"] = float(
-        np.sqrt(0.5 * np.sum(couplings ** 2)))
+    summary["model_info"]["gaussian_rate_estimate"] = spin_spin_gaussian_rate(bath)
     return times, _qubit_records(abs(a0) ** 2, abs(a1) ** 2, rho01), series
 
 

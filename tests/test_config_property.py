@@ -5,8 +5,13 @@ tiny grids with at most 50 steps, and three in four of them have one
 number set to nan, +-inf, 0, -1, 1e-300 or 1e300.  Whatever the file, `validate`
 exits 0 or 2, and a file that validates runs to 0 or 3: a configuration
 error is never found at run time, and no failure escapes as a traceback.
+A run that exits 0 writes a summary of strict JSON, with no NaN or
+Infinity, and one that exits 3 names the stage that failed.
 """
 
+import contextlib
+import io
+import json
 import tempfile
 from pathlib import Path
 
@@ -31,6 +36,10 @@ OPERATORS = ("0, 0, 0, 0", "1, 0, 0, -1", "0, 1, 1, 0", "0, -1j, 1j, 0", "0, 1, 
 #: values that mostly fit the grids below, so that many files validate
 KEYED = {"n_spins": ("1", "4", "8"), "dim": ("2", "2", "3"),
          "x0": ("0.5", "1.0"), "sigma": ("0.5", "1.0"), "k0": ("0.0", "1.0", "2.0")}
+#: the stages of a run, each the start of its exit-3 messages; a runner is
+#: the stage named after its model
+STAGES = ("initial state", "bath coefficients", "propagate", "Wigner at t=",
+          "trajectories", "tabulate", "fit", "summary") + MODEL_NAMES
 
 
 def _value(key: str, spec: ParamSpec) -> st.SearchStrategy[str]:
@@ -106,4 +115,17 @@ def test_validate_exits_0_or_2_and_a_valid_file_runs_to_0_or_3(text):
         validated = cli_main(["validate", str(path)])
         assert validated in (0, 2)
         if validated == 0:
-            assert cli_main(["run", str(path), "--out", tmp]) in (0, 3)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                ran = cli_main(["run", str(path), "--out", tmp])
+            assert ran in (0, 3)
+            if ran == 0:
+                json.loads((Path(tmp) / "fuzz_summary.json").read_text(),
+                           parse_constant=_reject_constant)
+            else:
+                assert err.getvalue().startswith(
+                    tuple(f"numerical failure: {stage}" for stage in STAGES)), err.getvalue()
+
+
+def _reject_constant(name: str):
+    raise AssertionError(f"summary holds {name}, which strict JSON has not")

@@ -311,7 +311,7 @@ class TestGaussianRoute:
     def test_grid_moments_of_a_packet(self):
         grid = Grid1D(96, -6.0, 6.0)
         x0, sigma, k0 = 0.4, 0.7, 0.6
-        m = grid_moments(grid.gaussian_packet(x0, sigma, k0).density().matrix, grid.x)
+        m = grid_moments(grid.gaussian_packet(x0, sigma, k0).density().matrix, grid)
         want = [x0, k0, x0 ** 2 + sigma ** 2, 2.0 * x0 * k0, k0 ** 2 + 0.25 / sigma ** 2]
         assert_allclose(m, want, rtol=1e-12, atol=1e-12)
 
@@ -322,9 +322,9 @@ class TestGaussianRoute:
         assert gens.pop("collisional").moments is None
         rho = Grid1D(96, -6.0, 6.0).gaussian_packet(0.4, 0.7, 0.6).density().matrix
         for name, gen in gens.items():
-            a, b, x = gen.moments
-            got = grid_moments(gen.apply(rho), x)
-            want = a @ grid_moments(rho, x) + b
+            a, b, grid = gen.moments
+            got = grid_moments(gen.apply(rho), grid)
+            want = a @ grid_moments(rho, grid) + b
             assert_allclose(got, want, rtol=1e-8, atol=1e-8 * np.max(np.abs(want)),
                             err_msg=name)
 

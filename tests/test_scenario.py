@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import decoherence
+from decoherence import measures, scenario
 from decoherence.cli import main as cli_main
 from decoherence.core import DensityMatrix, bloch_state
 from decoherence.measures import quantum_mutual_information
@@ -814,7 +815,51 @@ n_trajectories = 20
                         .replace("wigner_times = 0.0, 0.1", "wigner_times = 0.1"))
         assert cli_main(["run", str(path), "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
-        assert "Wigner marginals off" in err and err.rstrip().endswith("at t=0.1")
+        assert err.startswith("numerical failure: Wigner at t=0.1: Wigner marginals off")
+
+    @pytest.mark.parametrize("error", [ArithmeticError, ValueError, RuntimeError])
+    @pytest.mark.parametrize("module, callee, text, stage", [
+        (scenario, "bloch_state", MINIMAL_QUBIT, "initial state"),
+        (scenario, "_generator", MINIMAL_QUBIT, "bath coefficients"),
+        (scenario, "propagate", MINIMAL_QUBIT, "propagate"),
+        (measures, "wigner", GRID_SNAPSHOTS, "Wigner at t=0"),
+        (scenario, "unravel", CUSTOM_TRAJECTORIES, "trajectories"),
+        (scenario, "_run_cavity", (SCENARIO_DIR / "cavity_cat.cfg").read_text(), "cavity_cat"),
+        (scenario, "_run_spin_spin", SPIN_SPIN_MI, "spin_spin"),
+        (scenario, "_tabulate", MINIMAL_QUBIT, "tabulate"),
+        (scenario, "fit_decay", MINIMAL_QUBIT, "fit"),
+    ], ids=["initial_state", "bath_coefficients", "propagate", "wigner", "trajectories",
+            "cavity_cat", "spin_spin", "tabulate", "fit"])
+    def test_every_stage_names_itself(self, tmp_path, capsys, monkeypatch,
+                                      module, callee, text, stage, error):
+        def fail(*args, **kwargs):
+            raise error("injected")
+
+        monkeypatch.setattr(module, callee, fail)
+        path = tmp_path / "stage.cfg"
+        path.write_text(text)
+        assert cli_main(["run", str(path), "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == f"numerical failure: {stage}: injected\n"
+        assert not list(tmp_path.glob("*_summary.json"))
+
+    @pytest.mark.parametrize("text, message", [
+        # the two components coincide to 1e-320: T_d = Tr / (2 nbar (1 - cos chi)) = inf
+        ((SCENARIO_DIR / "cavity_cat.cfg").read_text()
+         .replace("alpha = 1.8708286933869707", "alpha = 1e-160"),
+         "model_info.decoherence_time = inf is not finite"),
+        # sum g_i^2 overflows in the Gaussian rate estimate
+        (SPIN_SPIN_MI.replace("n_spins = 6", "n_spins = 8")
+         .replace("coupling_scale = 1.0", "coupling_scale = 1e200"),
+         "model_info.gaussian_rate_estimate = inf is not finite"),
+    ], ids=["cat_of_vanishing_catness", "overflowing_couplings"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_summary_exits_3(self, tmp_path, capsys, text, message):
+        # the summary must stay strict JSON, which has no Infinity
+        path = tmp_path / "inf.cfg"
+        path.write_text(text)
+        assert cli_main(["run", str(path), "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == f"numerical failure: summary: {message}\n"
+        assert not list(tmp_path.glob("*_summary.json"))
 
     @pytest.mark.parametrize("old, new, message", [
         ("cutoff = 50.0", "cutoff = 1e200", "out of range"),  # OverflowError
