@@ -16,6 +16,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -337,6 +338,11 @@ def parse_config(text: str) -> ScenarioConfig:
     mschema = MODEL_SCHEMAS[model]
     params = _validate_section("params", dict(cp["params"]) if "params" in cp else {},
                                mschema["params"])
+    if model == "collisional":
+        unused = "gamma_tot" if params["regime"] == "long_wavelength" else "lambda"
+        if params[unused]:
+            raise ConfigError(f"key '{unused}': the {params['regime']} regime does not "
+                              f"use it; remove it or set it to 0")
 
     state_raw = dict(cp["initial_state"])
     kind = state_raw.pop("kind", None)
@@ -369,6 +375,8 @@ def parse_config(text: str) -> ScenarioConfig:
     for q in outputs["quantities"]:
         if q not in OUTPUT_QUANTITIES:
             raise ConfigError(f"unknown output quantity '{q}'")
+    if outputs["fit"] != "none" and "coherence_magnitude" not in outputs["quantities"]:
+        raise ConfigError(f"fit = {outputs['fit']} needs coherence_magnitude in quantities")
     if "wigner_snapshots" in outputs["quantities"] and not mschema["needs_grid"]:
         raise ConfigError("wigner_snapshots needs a position-grid model")
     if "position_density" in outputs["quantities"] and not mschema["needs_grid"]:
@@ -541,9 +549,12 @@ def _coherence_peak_index(m0: np.ndarray, grid: Grid1D,
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: str | Path = ".") -> dict:
-    """Execute a parsed scenario; returns the summary dict after writing files."""
+    """Execute a parsed scenario, write its files and return its summary.  The
+    stages only compute; every file is written after the "summary" stage has
+    passed, the summary JSON last, so a run that raises NumericalFailure writes none."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    writes: list = []  # (file name, write(path)) of each table, run after "summary"
     name = cfg.name
     quantities = cfg.outputs["quantities"]
     summary: dict = {
@@ -562,7 +573,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path = ".") -> dict:
         elif cfg.model == "spin_spin":
             times, records, columns = _run_spin_spin(cfg, summary)
         else:
-            times, records, columns = _run_master_equation(cfg, summary, out_dir)
+            times, records, columns = _run_master_equation(cfg, summary, writes)
     with _stage("tabulate"):
         series = {**_tabulate(records, quantities), **columns}
 
@@ -570,21 +581,21 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path = ".") -> dict:
     table_quantities = [q for q in quantities if q in series]
     table_quantities += [q for q in series if q not in table_quantities]
     if table_quantities:
-        path = out_dir / f"{name}_timeseries.csv"
-        _write_csv(path, ["t"] + table_quantities,
-                   [times] + [series[q] for q in table_quantities])
-        summary["files"]["timeseries"] = path.name
+        summary["files"]["timeseries"] = file_name = f"{name}_timeseries.csv"
+        writes.append((file_name, partial(
+            _write_csv, header=["t"] + table_quantities,
+            columns=[times] + [series[q] for q in table_quantities])))
 
-    fit_kind = cfg.outputs["fit"]
-    if fit_kind != "none" and "coherence_magnitude" in series:
+    if cfg.outputs["fit"] != "none":
         with _stage("fit"):
-            summary["fits"]["coherence_magnitude"] = fit_decay(
-                np.asarray(times), np.asarray(series["coherence_magnitude"]), fit_kind)
+            summary["fits"]["coherence_magnitude"] = fit_decay(np.asarray(times), np.asarray(
+                series["coherence_magnitude"]), cfg.outputs["fit"])
 
     with _stage("summary"):
         _require_finite(summary)
-    summary_path = out_dir / f"{name}_summary.json"
-    with open(summary_path, "w") as fh:
+    for file_name, write in writes:
+        write(out_dir / file_name)
+    with open(out_dir / f"{name}_summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return summary
@@ -646,9 +657,9 @@ def _qubit_records(p0: float, p1: float, rho01: np.ndarray) -> list[DensityMatri
     return [DensityMatrix.certified(m) for m in records]
 
 
-def _run_master_equation(cfg: ScenarioConfig, summary: dict, out_dir: Path) -> tuple:
+def _run_master_equation(cfg: ScenarioConfig, summary: dict, writes: list) -> tuple:
     """Evolve a master-equation model: its record times, its records and its
-    own columns.
+    own columns; its own tables go to `writes` as (file name, write(path)).
 
     Grid models (collisional, qbm, caldeira_leggett) start from a packet
     state and add position densities and Wigner snapshots; qubit models
@@ -691,11 +702,11 @@ def _run_master_equation(cfg: ScenarioConfig, summary: dict, out_dir: Path) -> t
         series["im_rho01"] = [float(np.imag(m[0, 1])) for m in mats]
 
     if "position_density" in quantities:
-        path = out_dir / f"{cfg.name}_position_density.csv"
+        summary["files"]["position_density"] = file_name = f"{cfg.name}_position_density.csv"
         dens = np.concatenate([np.real(np.diag(m)) for m in mats]) / grid.dx
-        _write_csv(path, ["t", "x", "density"],
-                   [np.repeat(times, grid.n_points), np.tile(grid.x, len(mats)), dens])
-        summary["files"]["position_density"] = path.name
+        writes.append((file_name, partial(
+            _write_csv, header=["t", "x", "density"],
+            columns=[np.repeat(times, grid.n_points), np.tile(grid.x, len(mats)), dens])))
     if "wigner_snapshots" in quantities:
         snap_times = cfg.outputs["wigner_times"] or (times[0], times[-1])
         files = []
@@ -703,9 +714,8 @@ def _run_master_equation(cfg: ScenarioConfig, summary: dict, out_dir: Path) -> t
             idx = int(np.argmin(np.abs(times - target)))
             with _stage(f"Wigner at t={times[idx]:.6g}"):
                 field = measures.wigner(mats[idx], grid)
-            path = out_dir / f"{cfg.name}_wigner_t{k}.csv"
-            field.to_csv(path)
-            files.append({"file": path.name, "time": float(times[idx])})
+            files.append({"file": f"{cfg.name}_wigner_t{k}.csv", "time": float(times[idx])})
+            writes.append((files[-1]["file"], field.to_csv))
         summary["files"]["wigner_snapshots"] = files
     if cfg.trajectories is not None:
         # the unraveling of the same master equation, recorded at the same times
@@ -715,10 +725,10 @@ def _run_master_equation(cfg: ScenarioConfig, summary: dict, out_dir: Path) -> t
                                 integ.record_stride)
         with _stage("trajectories"):
             stats = ensemble_statistics(unravel(gen, rho0, tcfg), SIGMA_X)
-        path = out_dir / f"{cfg.name}_trajectories.csv"
-        _write_csv(path, ["t", "mean_sx", "stderr_sx"],
-                   [stats["times"], stats["mean"], stats["stderr"]])
-        summary["files"]["trajectories"] = path.name
+        summary["files"]["trajectories"] = file_name = f"{cfg.name}_trajectories.csv"
+        writes.append((file_name, partial(
+            _write_csv, header=["t", "mean_sx", "stderr_sx"],
+            columns=[stats["times"], stats["mean"], stats["stderr"]])))
     return times, res.states, series
 
 

@@ -6,7 +6,9 @@ number set to nan, +-inf, 0, -1, 1e-300 or 1e300.  Whatever the file, `validate`
 exits 0 or 2, and a file that validates runs to 0 or 3: a configuration
 error is never found at run time, and no failure escapes as a traceback.
 A run that exits 0 writes a summary of strict JSON, with no NaN or
-Infinity, and one that exits 3 names the stage that failed.
+Infinity, and one that exits 3 names the stage that failed and writes no
+file.  The strategy keeps most files valid: a fit only with a coherence
+column, and a collisional rate only for the regime that uses it.
 """
 
 import contextlib
@@ -77,14 +79,19 @@ def scenario_files(draw) -> str:
         ("mutual_information",) if model == "spin_spin" else ())
     pool = draw(st.sampled_from((fits, fits, fits, OUTPUT_QUANTITIES)))
     quantities = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+    params = _section(draw, schema["params"])
+    unused = "lambda" if params.get("regime") == "short_wavelength" else "gamma_tot"
+    if model == "collisional" and unused in params:  # a rate its regime does not use
+        params[unused] = "0.0"
     sections = {
         "scenario": {"name": "fuzz", "model": model, "seed": str(draw(st.integers(0, 3)))},
-        "params": _section(draw, schema["params"]),
+        "params": params,
         "initial_state": {"kind": kind, **_section(draw, STATE_SCHEMAS[kind])},
         "integrator": {"dt": repr(dt), "t_final": repr(n_steps * dt),
                        "record_stride": str(draw(st.integers(1, 10)))},
         "outputs": {"quantities": ", ".join(quantities),
-                    "fit": draw(st.sampled_from(("none", "exponential", "gaussian"))),
+                    "fit": draw(st.sampled_from(("none", "exponential", "gaussian")))
+                    if "coherence_magnitude" in quantities else "none",
                     "wigner_times": draw(st.sampled_from(("", "0.0", repr(n_steps * dt))))},
     }
     if schema["needs_grid"]:
@@ -125,6 +132,7 @@ def test_validate_exits_0_or_2_and_a_valid_file_runs_to_0_or_3(text):
             else:
                 assert err.getvalue().startswith(
                     tuple(f"numerical failure: {stage}" for stage in STAGES)), err.getvalue()
+                assert [p.name for p in Path(tmp).iterdir()] == ["fuzz.cfg"]
 
 
 def _reject_constant(name: str):

@@ -302,7 +302,8 @@ x_max = 4.0
 
     def test_empty_outputs_summary_only(self, tmp_path):
         text = MINIMAL_QUBIT.replace(
-            "quantities = coherence_magnitude, purity", "quantities =")
+            "quantities = coherence_magnitude, purity", "quantities =").replace(
+            "fit = exponential", "fit = none")
         cfg = parse_config(text)
         summary = run_scenario(cfg, out_dir=tmp_path)
         assert summary["files"].get("timeseries") is None
@@ -489,7 +490,7 @@ class TestListModels:
         # build a minimal scenario for each model exercising every listed
         # parameter; validation must accept them all
         fillers = {
-            "collisional": ("lambda = 0.5\ngamma_tot = 0.1\nregime = long_wavelength"
+            "collisional": ("lambda = 0.5\ngamma_tot = 0.0\nregime = long_wavelength"
                             "\nmass = 1.0\nfree_dynamics = true",
                             "kind = gaussian_packet\nsigma = 0.5",
                             "[grid]\nn_points = 32\nx_min = -4\nx_max = 4"),
@@ -794,12 +795,25 @@ n_trajectories = 20
         # one trajectory has no ensemble statistics
         (CUSTOM_TRAJECTORIES.replace("n_trajectories = 16", "n_trajectories = 1"),
          "key 'n_trajectories': must be >= 2"),
+        # each scattering regime uses one of the two rates
+        ((SCENARIO_DIR / "two_packet_collisional.cfg").read_text()
+         .replace("lambda = 0.05", "lambda = 0.05\ngamma_tot = 5.0"),
+         "key 'gamma_tot': the long_wavelength regime does not use it"),
+        ((SCENARIO_DIR / "two_packet_collisional.cfg").read_text()
+         .replace("regime = long_wavelength", "regime = short_wavelength"),
+         "key 'lambda': the short_wavelength regime does not use it"),
+        # a fit has no coherence column to fit
+        ((SCENARIO_DIR / "dephasing_qubit.cfg").read_text()
+         .replace("quantities = coherence_magnitude, purity, entropy",
+                  "quantities = purity, entropy"),
+         "fit = exponential needs coherence_magnitude in quantities"),
     ], ids=["non_hermitian_h", "spin_boson_trajectories",
             "non_hermitian_l_trajectories", "t_final_below_dt",
             "wigner_time_past_t_final", "t_final_not_whole_steps",
             "packet_past_grid_edge", "packet_past_grid_momentum",
             "packet_past_wigner_range", "non_finite_float", "non_finite_list_entry",
-            "catness_past_float_range", "one_trajectory"])
+            "catness_past_float_range", "one_trajectory", "long_wavelength_gamma_tot",
+            "short_wavelength_lambda", "fit_without_coherence"])
     def test_input_errors_exit_2(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.cfg"
         path.write_text(text)
@@ -816,6 +830,17 @@ n_trajectories = 20
         assert cli_main(["run", str(path), "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: Wigner at t=0.1: Wigner marginals off")
+
+    def test_failed_snapshot_writes_no_earlier_table(self, tmp_path, capsys):
+        # the density and the t=0 snapshot are computed before the t=0.1
+        # snapshot fails, and neither is written
+        path = tmp_path / "aliased.cfg"
+        path.write_text(GRID_SNAPSHOTS.replace("lambda = 0.5", "lambda = 20.0")
+                        .replace("quantities = wigner_snapshots",
+                                 "quantities = position_density, wigner_snapshots"))
+        assert cli_main(["run", str(path), "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: Wigner at t=0.1: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["aliased.cfg"]
 
     @pytest.mark.parametrize("error", [ArithmeticError, ValueError, RuntimeError])
     @pytest.mark.parametrize("module, callee, text, stage", [
@@ -840,7 +865,7 @@ n_trajectories = 20
         path.write_text(text)
         assert cli_main(["run", str(path), "--out", str(tmp_path)]) == 3
         assert capsys.readouterr().err == f"numerical failure: {stage}: injected\n"
-        assert not list(tmp_path.glob("*_summary.json"))
+        assert not list(tmp_path.glob("*.csv")) + list(tmp_path.glob("*.json"))
 
     @pytest.mark.parametrize("text, message", [
         # the two components coincide to 1e-320: T_d = Tr / (2 nbar (1 - cos chi)) = inf
@@ -859,7 +884,7 @@ n_trajectories = 20
         path.write_text(text)
         assert cli_main(["run", str(path), "--out", str(tmp_path)]) == 3
         assert capsys.readouterr().err == f"numerical failure: summary: {message}\n"
-        assert not list(tmp_path.glob("*_summary.json"))
+        assert not list(tmp_path.glob("*.csv")) + list(tmp_path.glob("*.json"))
 
     @pytest.mark.parametrize("old, new, message", [
         ("cutoff = 50.0", "cutoff = 1e200", "out of range"),  # OverflowError
